@@ -16,16 +16,6 @@ namespace {
 
 using ItemsetSet = std::unordered_set<Itemset, ItemsetHash, ItemsetEq>;
 
-/// True when `row` of `dataset` satisfies the conjunction `items`.
-bool RowMatches(const EncodedDataset& dataset, size_t row,
-                const Itemset& items) {
-  for (uint32_t id : items) {
-    const size_t attr = dataset.catalog.item(id).attribute;
-    if (dataset.at(row, attr) != id) return false;
-  }
-  return true;
-}
-
 }  // namespace
 
 std::vector<ShardRange> MakeShardPlan(size_t num_rows, size_t num_shards) {
@@ -100,76 +90,117 @@ Result<ShardMergeResult> MergeShardContributions(
     if (include_rows[i]) result.covered_rows += plan[i].size();
   }
 
-  // Phase 2: exact recount of every candidate over the covered rows.
-  OutcomeCounts totals;
-  for (size_t i = 0; i < plan.size(); ++i) {
-    if (!include_rows[i]) continue;
-    for (size_t r = plan[i].begin; r < plan[i].end; ++r) {
-      switch (outcomes[r]) {
-        case Outcome::kTrue:
-          ++totals.t;
-          break;
-        case Outcome::kFalse:
-          ++totals.f;
-          break;
-        case Outcome::kBottom:
-          ++totals.bot;
-          break;
-      }
+  // Phase 2: exact recount of every candidate over the covered rows,
+  // vertically. The covered rows are renumbered densely (included
+  // ranges in plan order, so a dropped shard leaves no hole) and each
+  // frequent item gets one bitmap over them, next to the T and F
+  // outcome masks; a candidate's tallies are then the fused AND +
+  // popcount kernels Apriori uses. The kernel choice never changes a
+  // tally (kernel differential suite).
+  obs::StageTimer timer(options.stages, obs::kStageShardVerify);
+  const size_t num_bits = result.covered_rows;
+  const size_t num_words = (num_bits + 63) / 64;
+  const size_t num_attributes = dataset.num_attributes;
+  // Calls fn(row, bit) for every covered row and its dense index.
+  auto for_each_covered_row = [&](auto&& fn) {
+    size_t bit = 0;
+    for (size_t i = 0; i < plan.size(); ++i) {
+      if (!include_rows[i]) continue;
+      for (size_t r = plan[i].begin; r < plan[i].end; ++r) fn(r, bit++);
     }
-  }
+  };
+
   // Single-item supports over the covered rows feed the
   // SupportUpperBound pre-filter below: an itemset is at most as
   // frequent as its least frequent member, so candidates whose bound
-  // is already below min_count skip the full row scan. Exact: a
-  // skipped candidate's true count is <= its bound < min_count, so the
-  // threshold filter would have discarded it anyway.
+  // is already below min_count skip the recount. Exact: a skipped
+  // candidate's true count is <= its bound < min_count, so the
+  // threshold filter would have discarded it anyway. The same bound
+  // means only items with support >= min_count need a bitmap.
+  const fpm::KernelOps& ops = fpm::ResolveKernel(options.kernel);
+  auto set_bit = [](uint64_t* words, size_t bit) {
+    words[bit >> 6] |= uint64_t{1} << (bit & 63);
+  };
+  std::vector<uint64_t> t_mask(num_words, 0);
+  std::vector<uint64_t> f_mask(num_words, 0);
   std::vector<uint64_t> item_supports(dataset.catalog.num_items(), 0);
-  for (size_t i = 0; i < plan.size(); ++i) {
-    if (!include_rows[i]) continue;
-    for (size_t r = plan[i].begin; r < plan[i].end; ++r) {
-      for (size_t a = 0; a < dataset.num_attributes; ++a) {
-        ++item_supports[dataset.at(r, a)];
-      }
-    }
-  }
-  const uint64_t min_count_bound =
+  for_each_covered_row([&](size_t r, size_t bit) {
+    if (outcomes[r] == Outcome::kTrue) set_bit(t_mask.data(), bit);
+    if (outcomes[r] == Outcome::kFalse) set_bit(f_mask.data(), bit);
+    const uint32_t* row = dataset.cells.data() + r * num_attributes;
+    for (size_t a = 0; a < num_attributes; ++a) ++item_supports[row[a]];
+  });
+  OutcomeCounts totals;
+  totals.t = ops.popcount(t_mask.data(), num_bits);
+  totals.f = ops.popcount(f_mask.data(), num_bits);
+  totals.bot = num_bits - totals.t - totals.f;
+  const uint64_t min_count =
       MinCount(options.min_support, result.covered_rows);
+
+  constexpr size_t kNoBitmap = ~size_t{0};
+  std::vector<size_t> bitmap_of(item_supports.size(), kNoBitmap);
+  size_t num_bitmaps = 0;
+  for (size_t id = 0; id < item_supports.size(); ++id) {
+    if (item_supports[id] >= min_count) bitmap_of[id] = num_bitmaps++;
+  }
+  std::vector<uint64_t> item_rows(num_bitmaps * num_words, 0);
+  for_each_covered_row([&](size_t r, size_t bit) {
+    const uint32_t* row = dataset.cells.data() + r * num_attributes;
+    for (size_t a = 0; a < num_attributes; ++a) {
+      const size_t b = bitmap_of[row[a]];
+      if (b != kNoBitmap) set_bit(item_rows.data() + b * num_words, bit);
+    }
+  });
+  auto rows_of = [&](uint32_t id) {
+    return item_rows.data() + bitmap_of[id] * num_words;
+  };
+
   obs::Counter* ubound_skips = obs::MetricsRegistry::Default().GetCounter(
       "fpm.kernel.ubound.skips");
-
+  const size_t num_chunks =
+      ParallelChunkCount(options.num_threads, candidates.size());
+  // One scratch intersection per worker, reused by its candidates (the
+  // kernels allow dst to alias an input). Allocated here so the workers
+  // never allocate.
+  std::vector<uint64_t> scratch(num_chunks * num_words);
+  timer.SetPeakBytes((item_rows.size() + t_mask.size() + f_mask.size() +
+                      scratch.size()) *
+                     sizeof(uint64_t));
   std::vector<OutcomeCounts> counts(candidates.size());
-  {
-    obs::StageTimer timer(options.stages, obs::kStageShardVerify);
-    ParallelFor(options.num_threads, candidates.size(), [&](size_t ci) {
-      OutcomeCounts& tally = counts[ci];
-      const Itemset& items = candidates[ci];
-      if (fpm::SupportUpperBound(items.data(), items.size(),
-                                 item_supports.data(),
-                                 item_supports.size()) < min_count_bound) {
-        ubound_skips->Increment();
-        return;  // tally stays zero; filtered by the threshold below
-      }
-      for (size_t i = 0; i < plan.size(); ++i) {
-        if (!include_rows[i]) continue;
-        for (size_t r = plan[i].begin; r < plan[i].end; ++r) {
-          if (!RowMatches(dataset, r, items)) continue;
-          switch (outcomes[r]) {
-            case Outcome::kTrue:
-              ++tally.t;
-              break;
-            case Outcome::kFalse:
-              ++tally.f;
-              break;
-            case Outcome::kBottom:
-              ++tally.bot;
-              break;
+  ParallelForChunks(
+      options.num_threads, candidates.size(),
+      [&](size_t chunk, size_t begin, size_t end) {
+        uint64_t* dst = scratch.data() + chunk * num_words;
+        for (size_t ci = begin; ci < end; ++ci) {
+          const Itemset& items = candidates[ci];
+          if (fpm::SupportUpperBound(items.data(), items.size(),
+                                     item_supports.data(),
+                                     item_supports.size()) < min_count) {
+            ubound_skips->Increment();
+            continue;  // tally stays zero; filtered by the threshold below
           }
+          // Surviving candidates hold only items with a bitmap.
+          fpm::KernelTally kt;
+          if (items.size() == 1) {
+            kt = ops.tally(rows_of(items[0]), t_mask.data(), f_mask.data(),
+                           num_bits);
+          } else {
+            kt = ops.and_assign_tally(dst, rows_of(items[0]),
+                                      rows_of(items[1]), t_mask.data(),
+                                      f_mask.data(), num_bits);
+            for (size_t j = 2; j < items.size(); ++j) {
+              kt = ops.and_assign_tally(dst, dst, rows_of(items[j]),
+                                        t_mask.data(), f_mask.data(),
+                                        num_bits);
+            }
+          }
+          counts[ci].t = kt.t;
+          counts[ci].f = kt.f;
+          counts[ci].bot = kt.support - kt.t - kt.f;
         }
-      }
-    });
-    timer.AddItems(candidates.size());
-  }
+      });
+  timer.AddItems(candidates.size());
+  timer.Finish();
 
   // Keep candidates meeting the global threshold, then enforce
   // downward closure: with partial candidate sets (stale-checkpoint
@@ -177,7 +208,6 @@ Result<ShardMergeResult> MergeShardContributions(
   // which the analyses built on the table assume present. Closure is
   // checked shortest-first so a kept pattern's whole subset chain is
   // kept.
-  const uint64_t min_count = min_count_bound;
   std::vector<MinedPattern> frequent;
   for (size_t ci = 0; ci < candidates.size(); ++ci) {
     if (counts[ci].total() >= min_count) {

@@ -6,6 +6,8 @@
 // MinCount thresholds), hence the union of per-shard results is a
 // complete candidate set; phase 2 recounts every candidate exactly
 // over the covered rows and keeps those meeting the global threshold.
+// The recount is vertical: one bitmap per frequent item over the
+// covered rows, and the fused AND + tally kernels per candidate.
 // The recount makes the merge independent of shard scheduling, retry
 // history and duplicate or partial contributions: the output depends
 // only on (dataset, covered rows, candidate union).
@@ -55,7 +57,11 @@ struct ShardMergeOptions {
   size_t max_length = 0;
   /// Worker threads for the phase-2 recount.
   size_t num_threads = 1;
-  /// Optional per-stage accounting (records obs::kStageShardVerify).
+  /// Kernel table for the phase-2 bitmap tallies. Every choice yields
+  /// the same tallies, so this only affects speed.
+  fpm::KernelKind kernel = fpm::KernelKind::kAuto;
+  /// Optional per-stage accounting (records obs::kStageShardVerify,
+  /// with the recount's bitmap bytes as its peak).
   obs::StageCollector* stages = nullptr;
 };
 

@@ -388,6 +388,7 @@ Result<PatternTable> ShardedExplorer::ExploreOutcomes(
     mopts.min_support = options_.base.min_support;
     mopts.max_length = options_.base.max_length;
     mopts.num_threads = options_.base.num_threads;
+    mopts.kernel = options_.base.kernel;
     mopts.stages = &stages;
     DIVEXP_ASSIGN_OR_RETURN(
         merged, MergeShardContributions(dataset, outcomes, plan,

@@ -15,6 +15,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <random>
+#include <string>
 #include <vector>
 
 namespace divexp {
@@ -168,6 +169,59 @@ TEST(KernelDifferentialTest, AndAssignTallyWritesExactIntersection) {
       }
       ASSERT_EQ(dst[nw], 0xDEADBEEFDEADBEEFull)
           << ops->name << " wrote past the last word, bits=" << bits;
+    }
+  }
+}
+
+// The contract lets dst alias a or b, and chained intersections (the
+// SON merge's recount) run in place: dst == a. The result must be the
+// AND of the inputs as they were before the call, with tails poisoned.
+TEST(KernelDifferentialTest, AndAssignTallyInPlaceMatchesOracle) {
+  std::mt19937_64 rng(0x1A5E);
+  for (size_t bits = 0; bits <= kMaxBits; ++bits) {
+    const auto a = RandomWords(bits, &rng, 0.6);
+    const auto b = RandomWords(bits, &rng, 0.6);
+    const auto t = RandomWords(bits, &rng, 0.3);
+    const auto f = RandomWords(bits, &rng, 0.3);
+    const uint64_t* pa = a.data() + kLeadSlack;
+    const uint64_t* pb = b.data() + kLeadSlack;
+    const uint64_t* pt = t.data() + kLeadSlack;
+    const uint64_t* pf = f.data() + kLeadSlack;
+    const size_t nw = WordsFor(bits);
+    std::vector<uint64_t> expect_words(nw + 1, 0);
+    for (size_t w = 0; w < nw; ++w) expect_words[w] = pa[w] & pb[w];
+    const KernelTally want = NaiveTally(expect_words.data(), pt, pf, bits);
+    for (const KernelOps* ops : AllKernels()) {
+      for (const bool alias_a : {true, false}) {
+        // In-place copy of the aliased input, tail garbage included,
+        // with a sentinel word after it.
+        const uint64_t* src = alias_a ? pa : pb;
+        std::vector<uint64_t> dst(src, src + nw);
+        dst.push_back(0xDEADBEEFDEADBEEFull);
+        const KernelTally got =
+            alias_a
+                ? ops->and_assign_tally(dst.data(), dst.data(), pb, pt, pf,
+                                        bits)
+                : ops->and_assign_tally(dst.data(), pa, dst.data(), pt, pf,
+                                        bits);
+        SCOPED_TRACE(std::string(ops->name) + " bits=" +
+                     std::to_string(bits) +
+                     (alias_a ? " dst==a" : " dst==b"));
+        ASSERT_EQ(got.support, want.support);
+        ASSERT_EQ(got.t, want.t);
+        ASSERT_EQ(got.f, want.f);
+        for (size_t i = 0; i < bits; ++i) {
+          ASSERT_EQ(BitAt(dst.data(), i), BitAt(pa, i) && BitAt(pb, i))
+              << "i=" << i;
+        }
+        ASSERT_EQ(dst[nw], 0xDEADBEEFDEADBEEFull);
+        // A second in-place pass over its own output is idempotent.
+        const KernelTally again = ops->and_assign_tally(
+            dst.data(), dst.data(), alias_a ? pb : pa, pt, pf, bits);
+        ASSERT_EQ(again.support, want.support);
+        ASSERT_EQ(again.t, want.t);
+        ASSERT_EQ(again.f, want.f);
+      }
     }
   }
 }

@@ -190,24 +190,33 @@ INSTANTIATE_TEST_SUITE_P(AllMiners, ShardFaultTest,
                            return std::string(MinerKindName(info.param));
                          });
 
-// The --kernel=simd cells: faulted+retried SIMD shard runs (including
-// the SON merge's SupportUpperBound recount skip) must land on the
-// *scalar* monolithic bytes — kernel choice can never change a shard
-// merge. Where no SIMD table exists kSimd degrades to scalar and the
-// cell still runs.
-TEST(ShardFaultKernelTest, SimdShardCellsMatchScalarMonolithicReference) {
+// The kernel cells: faulted+retried shard runs with one kernel
+// (including the SON merge's bitmap recount and its SupportUpperBound
+// skip, which use the run's kernel) must land on the monolithic bytes
+// of the other — kernel choice can never change a shard merge. Where
+// no SIMD table exists kSimd degrades to scalar and the cells still
+// run.
+void RunKernelCells(fpm::KernelKind shard_kernel,
+                    fpm::KernelKind reference_kernel, uint64_t seed) {
   const Workload w = MakeWorkload();
   const int schedules = SchedulesPerCell();
-  uint64_t seed = 77000;
   for (MinerKind miner :
        {MinerKind::kFpGrowth, MinerKind::kApriori, MinerKind::kEclat}) {
     const std::string reference =
-        MonolithicReference(w, miner, 0.05, fpm::KernelKind::kScalar);
+        MonolithicReference(w, miner, 0.05, reference_kernel);
     for (const size_t shards : {size_t{1}, size_t{4}}) {
       RunCell(w, miner, 0.05, shards, reference, schedules, ++seed,
-              fpm::KernelKind::kSimd);
+              shard_kernel);
     }
   }
+}
+
+TEST(ShardFaultKernelTest, SimdShardCellsMatchScalarMonolithicReference) {
+  RunKernelCells(fpm::KernelKind::kSimd, fpm::KernelKind::kScalar, 77000);
+}
+
+TEST(ShardFaultKernelTest, ScalarShardCellsMatchSimdMonolithicReference) {
+  RunKernelCells(fpm::KernelKind::kScalar, fpm::KernelKind::kSimd, 78000);
 }
 
 // Drop-mode differential: exhaust one shard under faults, then check
