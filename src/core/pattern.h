@@ -83,7 +83,7 @@ class PatternTable {
   double global_rate() const { return global_rate_; }
 
   /// Beta posterior mean / variance of f(D); serialized alongside the
-  /// rate so snapshot and artifact loaders can rebuild t statistics.
+  /// rate so the serving artifact can rebuild t statistics.
   double global_mean() const { return global_mean_; }
   double global_variance() const { return global_variance_; }
 
@@ -144,12 +144,6 @@ class PatternTable {
       const std::vector<std::pair<std::string, std::string>>& items) const;
 
  private:
-  /// Snapshot serialization (core/table_snapshot.cc) reads and rebuilds
-  /// the private representation — including the lattice index — so a
-  /// deserialized table is bit-identical to the snapshotted one without
-  /// re-running the post-pass.
-  friend class TableSnapshotAccess;
-
   /// Comparator shared by Rank and TopK: orders row indices by a
   /// precomputed key vector with the deterministic tie-break chain
   /// (higher support, then shorter, then items). Total order, so

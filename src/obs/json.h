@@ -100,7 +100,7 @@ struct MetricsReport {
 /// and which hot-loop kernel implementation actually ran.
 /// v5 added the serving-layer metric families (serve.queries,
 /// serve.errors, serve.cache.hits/misses/evictions,
-/// serve.open.mmap/eager, and the per-verb serve.query_us.<type>
+/// serve.open.mmap, and the per-verb serve.query_us.<type>
 /// histograms) emitted by the query daemon; run-summary fields are
 /// unchanged.
 /// v6 added the run-level shard_isolation field plus the

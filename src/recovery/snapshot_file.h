@@ -33,11 +33,14 @@ namespace recovery {
 inline constexpr uint64_t kSnapshotMagic = 0x44564558534E4150ull;
 inline constexpr uint32_t kSnapshotVersion = 1;
 
-/// What the payload contains. Stored in the envelope so a mining-state
-/// snapshot can never be misread as a pattern table (and vice versa).
+/// What the payload contains. Stored in the envelope so one kind of
+/// snapshot can never be misread as another.
 enum class SnapshotKind : uint32_t {
   kMiningState = 1,
-  kPatternTable = 2,
+  // 2 was the retired pattern-table snapshot (pattern tables are now
+  // only written as serving artifacts, serve/artifact.h). Never reuse
+  // it: files of that kind may still exist and must not parse as
+  // anything else.
   /// Shard-worker input spec (src/shard/worker/protocol.h): the slice,
   /// outcomes and attempt parameters handed to a `divexp shard-worker`
   /// process.

@@ -7,10 +7,8 @@
 
 #include <cerrno>
 #include <cstring>
-#include <fstream>
 #include <utility>
 
-#include "core/table_snapshot.h"
 #include "obs/metrics.h"
 #include "recovery/atomic_file.h"
 #include "recovery/crc32.h"
@@ -121,8 +119,8 @@ Status CheckCanonicalOrder(const PatternTable& table) {
   return Status::OK();
 }
 
-/// Catalog section payload; byte-identical to the catalog prefix of the
-/// snapshot serialization, so both formats share one parser shape.
+/// Catalog section payload: per attribute (in id order) its name and
+/// value labels; AddAttribute replay reproduces the item-id assignment.
 std::string SerializeCatalog(const ItemCatalog& catalog) {
   recovery::ByteWriter w;
   w.PutU64(catalog.num_attributes());
@@ -238,9 +236,7 @@ uint64_t TableFingerprint(const TableView& view) {
   return hash;
 }
 
-Status WritePatternTableArtifact(const std::string& path,
-                                 const PatternTable& table,
-                                 uint64_t* bytes_written) {
+Result<std::string> SerializePatternTableArtifact(const PatternTable& table) {
   DIVEXP_RETURN_NOT_OK(CheckCanonicalOrder(table));
   const size_t n = table.size();
 
@@ -326,7 +322,14 @@ Status WritePatternTableArtifact(const std::string& path,
                            kArtifactSectionCount *
                                kArtifactSectionEntrySize));
   PatchU32(&out, 80, recovery::Crc32(out.data(), 80));
+  return out;
+}
 
+Status WritePatternTableArtifact(const std::string& path,
+                                 const PatternTable& table,
+                                 uint64_t* bytes_written) {
+  DIVEXP_ASSIGN_OR_RETURN(const std::string out,
+                          SerializePatternTableArtifact(table));
   DIVEXP_RETURN_NOT_OK(recovery::WriteFileAtomic(path, out));
   if (bytes_written != nullptr) *bytes_written = out.size();
   return Status::OK();
@@ -370,7 +373,7 @@ Status PatternTableArtifact::Attach(ArtifactValidation validation) {
     if (swapped == kArtifactMagic) {
       return Status::InvalidArgument(
           "artifact was written on a host of the opposite endianness; "
-          "re-export it from a snapshot on this host");
+          "rewrite it on this host with divexp --save-artifact");
     }
     return Status::InvalidArgument(
         "not a pattern-table artifact (bad magic)");
@@ -659,109 +662,13 @@ PatternTableArtifact::FromBuffer(std::string bytes,
   return artifact;
 }
 
-Result<std::unique_ptr<PatternTableArtifact>>
-PatternTableArtifact::FromMemory(const void* data, size_t size,
-                                 ArtifactValidation validation) {
-  if (reinterpret_cast<uintptr_t>(data) % 8 != 0) {
-    return Status::InvalidArgument(
-        "artifact base address is not 8-byte aligned; use FromBuffer "
-        "for unaligned bytes");
-  }
-  std::unique_ptr<PatternTableArtifact> artifact(
-      new PatternTableArtifact());
-  artifact->base_ = static_cast<const uint8_t*>(data);
-  artifact->size_ = size;
-  DIVEXP_RETURN_NOT_OK(artifact->Attach(validation));
-  return artifact;
-}
-
-Result<std::unique_ptr<EagerTableBacking>> EagerTableBacking::FromTable(
-    const PatternTable& table) {
-  DIVEXP_RETURN_NOT_OK(CheckCanonicalOrder(table));
-  std::unique_ptr<EagerTableBacking> backing(new EagerTableBacking());
-  const size_t n = table.size();
-  backing->item_offsets_.assign(n + 1, 0);
-  backing->link_offsets_.assign(n + 1, 0);
-  backing->tallies_.reserve(3 * n);
-  backing->stats_.reserve(4 * n);
-  for (size_t i = 0; i < n; ++i) {
-    const PatternRow& row = table.row(i);
-    backing->items_.insert(backing->items_.end(), row.items.begin(),
-                           row.items.end());
-    backing->item_offsets_[i + 1] = backing->items_.size();
-    backing->tallies_.push_back(row.counts.t);
-    backing->tallies_.push_back(row.counts.f);
-    backing->tallies_.push_back(row.counts.bot);
-    backing->stats_.push_back(row.support);
-    backing->stats_.push_back(row.rate);
-    backing->stats_.push_back(row.divergence);
-    backing->stats_.push_back(row.t);
-    const std::span<const uint32_t> links = table.SubsetLinks(i);
-    backing->subset_links_.insert(backing->subset_links_.end(),
-                                  links.begin(), links.end());
-    backing->link_offsets_[i + 1] = backing->subset_links_.size();
-  }
-  backing->catalog_ = table.catalog();
-
-  TableView& view = backing->view_;
-  view.items = backing->items_;
-  view.item_offsets = backing->item_offsets_;
-  view.tallies = backing->tallies_;
-  view.stats = backing->stats_;
-  view.subset_links = backing->subset_links_;
-  view.link_offsets = backing->link_offsets_;
-  view.catalog = &backing->catalog_;
-  view.num_dataset_rows = table.num_dataset_rows();
-  view.global_rate = table.global_rate();
-  view.global_mean = table.global_mean();
-  view.global_variance = table.global_variance();
-  view.fingerprint = TableFingerprint(table);
-  return backing;
-}
-
-Result<std::unique_ptr<EagerTableBacking>> EagerTableBacking::Load(
-    const std::string& snapshot_path) {
-  DIVEXP_ASSIGN_OR_RETURN(const PatternTable table,
-                          LoadPatternTable(snapshot_path));
-  return FromTable(table);
-}
-
 Result<ServingTable> OpenServingTable(const std::string& path,
                                       ArtifactValidation validation) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    return Status::NotFound("cannot open table file '" + path + "'");
-  }
-  uint64_t magic = 0;
-  in.read(reinterpret_cast<char*>(&magic), sizeof(magic));
-  if (!in) {
-    return Status::InvalidArgument(
-        "table file '" + path + "' is shorter than a magic number");
-  }
-  in.close();
-
   ServingTable table;
-  if (magic == kArtifactMagic) {
-    DIVEXP_ASSIGN_OR_RETURN(table.artifact,
-                            PatternTableArtifact::Open(path, validation));
-    obs::MetricsRegistry::Default().GetCounter("serve.open.mmap")->Add(1);
-    return table;
-  }
-  if (magic == recovery::kSnapshotMagic) {
-    DIVEXP_ASSIGN_OR_RETURN(table.eager, EagerTableBacking::Load(path));
-    obs::MetricsRegistry::Default().GetCounter("serve.open.eager")->Add(1);
-    return table;
-  }
-  return Status::InvalidArgument(
-      "table file '" + path +
-      "' is neither a pattern-table artifact nor a snapshot");
-}
-
-Status MigrateSnapshotToArtifact(const std::string& snapshot_path,
-                                 const std::string& artifact_path) {
-  DIVEXP_ASSIGN_OR_RETURN(const PatternTable table,
-                          LoadPatternTable(snapshot_path));
-  return WritePatternTableArtifact(artifact_path, table);
+  DIVEXP_ASSIGN_OR_RETURN(table.artifact,
+                          PatternTableArtifact::Open(path, validation));
+  obs::MetricsRegistry::Default().GetCounter("serve.open.mmap")->Add(1);
+  return table;
 }
 
 }  // namespace serve

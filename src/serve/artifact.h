@@ -1,12 +1,13 @@
 // Zero-copy pattern-table artifact (format v1).
 //
-// The artifact is the serving-side sibling of the pattern-table
-// snapshot (core/table_snapshot.h): where the snapshot is a portable
-// length-prefixed stream that must be deserialized row by row, the
-// artifact is a relocatable, offset-based columnar image that is served
-// straight out of an mmap. Opening one costs O(header + catalog)
-// regardless of row count — no per-row allocation, no decode pass — so
-// a query daemon can map a multi-gigabyte table in milliseconds.
+// The artifact is the one binary format of a pattern table (CSV in
+// core/table_io.h is the human export): a relocatable, offset-based
+// columnar image that is served straight out of an mmap. Opening one
+// costs O(header + catalog) regardless of row count — no per-row
+// allocation, no decode pass — so a query daemon can map a
+// multi-gigabyte table in milliseconds. Its bytes are also the
+// canonical image the bit-identity tests compare: catalog, globals,
+// rows, subset links and kNoLink holes all round-trip exactly.
 //
 // On-disk layout (host-endian, guarded by an endianness tag):
 //
@@ -35,7 +36,7 @@
 //   4 stats         f64[4 * num_rows]  (support, rate, divergence, t)
 //   5 subset_links  u32[total_items]   lattice links, kNoLink = absent
 //   6 link_offsets  u64[num_rows + 1]
-//   7 catalog       ByteWriter blob (same shape as the snapshot catalog)
+//   7 catalog       ByteWriter blob: per attribute, name + value labels
 //
 // Rows are stored in canonical order (length, then lexicographic items
 // — the SortPatterns order), so lookup is a binary search over the
@@ -113,15 +114,18 @@ struct ArtifactInfo {
 
 /// FNV-1a fingerprint of the *logical* table content: catalog, dataset
 /// row count, global stats, and every row's (items, tallies, stats).
-/// Subset links are derived state and excluded, so a snapshot and the
-/// artifact migrated from it fingerprint identically.
+/// Subset links are derived state and excluded.
 uint64_t TableFingerprint(const PatternTable& table);
 uint64_t TableFingerprint(const TableView& view);
 
-/// Serializes `table` into artifact format and writes it atomically.
-/// Rows must be in canonical order with the empty itemset first (the
-/// explorer's SortPatterns output satisfies this); InvalidArgument
-/// otherwise — the binary-search contract would silently break.
+/// Serializes `table` into artifact bytes. Rows must be in canonical
+/// order with the empty itemset first (the explorer's SortPatterns
+/// output satisfies this); InvalidArgument otherwise — the
+/// binary-search contract would silently break. Deterministic: equal
+/// tables give equal bytes.
+Result<std::string> SerializePatternTableArtifact(const PatternTable& table);
+
+/// SerializePatternTableArtifact + an atomic write to `path`.
 Status WritePatternTableArtifact(const std::string& path,
                                  const PatternTable& table,
                                  uint64_t* bytes_written = nullptr);
@@ -157,13 +161,6 @@ class PatternTableArtifact {
       std::string bytes,
       ArtifactValidation validation = ArtifactValidation::kHeader);
 
-  /// Non-owning view over caller-managed bytes, which must stay alive
-  /// and be 8-byte aligned (InvalidArgument otherwise — the columnar
-  /// sections are reinterpreted in place).
-  static Result<std::unique_ptr<PatternTableArtifact>> FromMemory(
-      const void* data, size_t size,
-      ArtifactValidation validation = ArtifactValidation::kHeader);
-
   ~PatternTableArtifact();
 
   PatternTableArtifact(const PatternTableArtifact&) = delete;
@@ -193,57 +190,19 @@ class PatternTableArtifact {
   ArtifactInfo info_;
 };
 
-/// The portable fallback backing: materializes the same columnar view
-/// from an in-memory PatternTable (typically loaded from a snapshot).
-/// O(rows) construction — the differential oracle for the mmap path.
-class EagerTableBacking {
- public:
-  /// Copies the table's columns out. Same canonical-order requirement
-  /// as the artifact writer.
-  static Result<std::unique_ptr<EagerTableBacking>> FromTable(
-      const PatternTable& table);
-
-  /// LoadPatternTable(path) + FromTable.
-  static Result<std::unique_ptr<EagerTableBacking>> Load(
-      const std::string& snapshot_path);
-
-  const TableView& view() const { return view_; }
-
- private:
-  EagerTableBacking() = default;
-
-  std::vector<uint32_t> items_;
-  std::vector<uint64_t> item_offsets_;
-  std::vector<uint64_t> tallies_;
-  std::vector<double> stats_;
-  std::vector<uint32_t> subset_links_;
-  std::vector<uint64_t> link_offsets_;
-  ItemCatalog catalog_;
-  TableView view_;
-};
-
-/// Whichever backing a table file resolved to; view() is the common
-/// query surface.
+/// An opened table file. The artifact is its only backing; the wrapper
+/// keeps the serving surface (QueryService, divexp serve) stable.
 struct ServingTable {
   std::unique_ptr<PatternTableArtifact> artifact;
-  std::unique_ptr<EagerTableBacking> eager;
 
-  const TableView& view() const {
-    return artifact != nullptr ? artifact->view() : eager->view();
-  }
+  const TableView& view() const { return artifact->view(); }
 };
 
-/// Opens either kind of table file by sniffing the magic: an artifact
-/// maps zero-copy (serve.open.mmap), a pattern-table snapshot loads
-/// eagerly (serve.open.eager). Queries are bit-identical either way.
+/// PatternTableArtifact::Open, counted in serve.open.mmap. Any other
+/// file — a retired table snapshot included — is InvalidArgument.
 Result<ServingTable> OpenServingTable(
     const std::string& path,
     ArtifactValidation validation = ArtifactValidation::kHeader);
-
-/// Migrates a kPatternTable snapshot into an artifact: the versioned
-/// upgrade path from the PR-4 snapshot format (see docs/serving.md).
-Status MigrateSnapshotToArtifact(const std::string& snapshot_path,
-                                 const std::string& artifact_path);
 
 }  // namespace serve
 }  // namespace divexp

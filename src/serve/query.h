@@ -4,8 +4,8 @@
 // is shared by all server threads with no locking. The algorithms
 // replicate core/pattern.cc, core/lattice.cc, core/shapley.cc and
 // core/corrective.cc exactly — tests/serve/query_differential_test.cc
-// asserts bit-identical results against the in-memory PatternTable for
-// both backings (mmap artifact and eager snapshot load).
+// asserts bit-identical results between the mmap'd artifact and the
+// in-memory PatternTable it was written from.
 //
 // Each entry point takes an optional RunGuard: the serving daemon arms
 // one per query with its configured budget, so a pathological request

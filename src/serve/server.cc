@@ -473,8 +473,8 @@ std::string QueryService::Execute(const Request& request, bool* ok) {
       .Value(view.global_rate)
       .Key("fingerprint")
       .Value(HexU64(view.fingerprint))
-      .Key("backing")
-      .Value(table_->artifact != nullptr ? "mmap" : "eager")
+      .Key("backing")  // always "mmap"; kept so the wire shape is stable
+      .Value("mmap")
       .Key("cache")
       .BeginObject()
       .Key("hits")

@@ -1,7 +1,7 @@
-// Columnar, read-only view of a pattern table: the common shape served
-// by both table backings — the mmap'd artifact (serve/artifact.h) and
-// the eager snapshot loader. Every span aliases storage owned by the
-// backing; a TableView is trivially copyable and never allocates.
+// Columnar, read-only view of a pattern table, as served from the
+// mmap'd artifact (serve/artifact.h). Every span aliases storage owned
+// by the artifact; a TableView is trivially copyable and never
+// allocates.
 //
 // Rows are in *canonical order* (ascending itemset length, then
 // lexicographic items — the order SortPatterns establishes before
@@ -29,7 +29,7 @@ inline constexpr size_t kStatDivergence = 2;
 inline constexpr size_t kStatT = 3;
 
 /// Non-owning columnar pattern table. All spans must stay valid for the
-/// lifetime of the view (the owning backing guarantees this).
+/// lifetime of the view (the owning artifact guarantees this).
 struct TableView {
   /// Concatenated row itemsets; row i owns
   /// [item_offsets[i], item_offsets[i+1]).

@@ -7,22 +7,15 @@
 #include <algorithm>
 #include <cstdlib>
 #include <string>
-#include <vector>
 
-#include "core/explorer.h"
-#include "core/table_snapshot.h"
 #include "recovery/atomic_file.h"
 #include "recovery/mining_snapshot.h"
 #include "recovery/snapshot_file.h"
-#include "testing/test_data.h"
 #include "util/random.h"
 
 namespace divexp {
 namespace recovery {
 namespace {
-
-using divexp::testing::MakeEncoded;
-using divexp::testing::OutcomesFromString;
 
 std::string TempDir() {
   const char* base = std::getenv("TMPDIR");
@@ -48,45 +41,24 @@ std::string ValidMiningSnapshotBytes() {
   return std::move(bytes).value();
 }
 
-std::string ValidTableSnapshotBytes() {
-  const EncodedDataset ds = MakeEncoded(
-      {{0, 1, 0}, {1, 0, 1}, {0, 0, 0}, {1, 1, 1}, {0, 1, 1}}, {2, 2, 2});
-  DivergenceExplorer explorer(ExplorerOptions{});
-  auto table = explorer.ExploreOutcomes(ds, OutcomesFromString("TFBTF"));
-  DIVEXP_CHECK(table.ok());
-  const std::string path = TempDir() + "/valid_table.snap";
-  DIVEXP_CHECK_OK(SavePatternTable(path, *table));
-  auto bytes = ReadFileToString(path);
-  DIVEXP_CHECK(bytes.ok());
-  return std::move(bytes).value();
-}
-
-// Writes `bytes` to a scratch file and tries to load it as `kind`;
-// returns true when the load cleanly failed (non-OK Status). A load
-// that "succeeds" is only acceptable if the bytes round-trip to the
-// original — mutated-but-loadable is the corruption we must never
+// Writes `bytes` to a scratch file and tries to load it as a mining
+// state; returns true when the load cleanly failed (non-OK Status). A
+// load that "succeeds" is only acceptable if the bytes round-trip to
+// the original — mutated-but-loadable is the corruption we must never
 // allow (the CRC makes a silent single-byte flip pass practically
 // impossible).
-enum class Kind { kMining, kTable };
-
-bool LoadCleanlyFails(const std::string& bytes, Kind kind,
+bool LoadCleanlyFails(const std::string& bytes,
                       const std::string& original) {
   const std::string path = TempDir() + "/mutant.snap";
   DIVEXP_CHECK_OK(WriteFileAtomic(path, bytes));
-  if (kind == Kind::kMining) {
-    auto loaded = LoadMiningState(path);
-    if (!loaded.ok()) return true;
-  } else {
-    auto loaded = LoadPatternTable(path);
-    if (!loaded.ok()) return true;
-  }
+  if (!LoadMiningState(path).ok()) return true;
   return bytes == original;  // loadable is OK only if bit-identical
 }
 
 TEST(CorruptSnapshotTest, EveryTruncationFailsCleanly_Mining) {
   const std::string good = ValidMiningSnapshotBytes();
   for (size_t len = 0; len < good.size(); ++len) {
-    EXPECT_TRUE(LoadCleanlyFails(good.substr(0, len), Kind::kMining, good))
+    EXPECT_TRUE(LoadCleanlyFails(good.substr(0, len), good))
         << "truncated to " << len << " bytes";
   }
 }
@@ -97,46 +69,18 @@ TEST(CorruptSnapshotTest, EveryByteFlipFailsCleanly_Mining) {
     for (const uint8_t flip : {uint8_t{0x01}, uint8_t{0xFF}}) {
       std::string bad = good;
       bad[i] = static_cast<char>(static_cast<uint8_t>(bad[i]) ^ flip);
-      EXPECT_TRUE(LoadCleanlyFails(bad, Kind::kMining, good))
+      EXPECT_TRUE(LoadCleanlyFails(bad, good))
           << "byte " << i << " xor " << int{flip};
     }
-  }
-}
-
-TEST(CorruptSnapshotTest, TruncationOffsetClassesFailCleanly_Table) {
-  const std::string good = ValidTableSnapshotBytes();
-  // Header boundaries plus a sweep through the payload.
-  std::vector<size_t> lengths = {0,  1,  7,  8,  11, 12,
-                                 15, 16, 23, 24, 27, kSnapshotHeaderSize};
-  for (size_t len = kSnapshotHeaderSize; len < good.size();
-       len += 1 + len / 16) {
-    lengths.push_back(len);
-  }
-  for (size_t len : lengths) {
-    if (len >= good.size()) continue;
-    EXPECT_TRUE(LoadCleanlyFails(good.substr(0, len), Kind::kTable, good))
-        << "truncated to " << len << " bytes";
-  }
-}
-
-TEST(CorruptSnapshotTest, EveryByteFlipFailsCleanly_Table) {
-  const std::string good = ValidTableSnapshotBytes();
-  for (size_t i = 0; i < good.size(); ++i) {
-    std::string bad = good;
-    bad[i] = static_cast<char>(static_cast<uint8_t>(bad[i]) ^ 0x40);
-    EXPECT_TRUE(LoadCleanlyFails(bad, Kind::kTable, good)) << "byte " << i;
   }
 }
 
 TEST(CorruptSnapshotTest, RandomMultiByteMutationsFailCleanly) {
   // Multi-byte garbage (random splices, overwrites, extensions) on top
   // of the single-flip sweep; seeded, so failures reproduce.
-  const std::string mining = ValidMiningSnapshotBytes();
-  const std::string table = ValidTableSnapshotBytes();
+  const std::string good = ValidMiningSnapshotBytes();
   Rng rng(20260807);
   for (int round = 0; round < 200; ++round) {
-    const bool use_table = rng.Below(2) == 1;
-    const std::string& good = use_table ? table : mining;
     std::string bad = good;
     switch (rng.Below(3)) {
       case 0: {  // overwrite a random run with random bytes
@@ -155,9 +99,7 @@ TEST(CorruptSnapshotTest, RandomMultiByteMutationsFailCleanly) {
           bad.push_back(static_cast<char>(rng.Below(256)));
         }
     }
-    EXPECT_TRUE(LoadCleanlyFails(
-        bad, use_table ? Kind::kTable : Kind::kMining, good))
-        << "round " << round;
+    EXPECT_TRUE(LoadCleanlyFails(bad, good)) << "round " << round;
   }
 }
 

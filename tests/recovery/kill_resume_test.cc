@@ -20,10 +20,10 @@
 #include <vector>
 
 #include "core/explorer.h"
-#include "core/table_snapshot.h"
 #include "recovery/atomic_file.h"
 #include "util/failpoint.h"
 #include "recovery/mining_snapshot.h"
+#include "testing/table_bytes.h"
 #include "testing/test_data.h"
 #include "util/random.h"
 
@@ -32,6 +32,7 @@ namespace recovery {
 namespace {
 
 using divexp::testing::MakeEncoded;
+using divexp::testing::TableBytes;
 
 std::string TempDir(const std::string& leaf) {
   const char* base = std::getenv("TMPDIR");
@@ -94,7 +95,7 @@ std::string ReferenceSerialization(const Workload& w,
   DivergenceExplorer explorer(opts);
   auto table = explorer.ExploreOutcomes(w.dataset, w.outcomes);
   DIVEXP_CHECK(table.ok());
-  return SerializePatternTable(*table);
+  return TableBytes(*table);
 }
 
 // Failpoints a schedule may target, per miner. Mining-phase points die
@@ -159,7 +160,7 @@ void RunCell(MinerKind miner, double support, size_t threads,
           died = false;
           // Fault never fired (ordinal past the end of the run): the
           // completed run must already match the reference.
-          ASSERT_EQ(SerializePatternTable(*table), reference)
+          ASSERT_EQ(TableBytes(*table), reference)
               << "schedule " << schedule;
         }
       } catch (const std::exception&) {
@@ -184,7 +185,7 @@ void RunCell(MinerKind miner, double support, size_t threads,
     auto table = resumed.ExploreOutcomes(w.dataset, w.outcomes);
     ASSERT_TRUE(table.ok())
         << "resume after " << schedule << ": " << table.status().ToString();
-    ASSERT_EQ(SerializePatternTable(*table), reference)
+    ASSERT_EQ(TableBytes(*table), reference)
         << "schedule " << schedule;
     if (had_checkpoint) {
       EXPECT_TRUE(resumed.last_run_stats().resumed_from_checkpoint)
@@ -295,7 +296,7 @@ TEST(KillResumeForkTest, AbortMidSnapshotWriteNeverCorruptsCheckpoint) {
     DivergenceExplorer resumed(opts);
     auto table = resumed.ExploreOutcomes(w.dataset, w.outcomes);
     ASSERT_TRUE(table.ok()) << schedule;
-    EXPECT_EQ(SerializePatternTable(*table), reference) << schedule;
+    EXPECT_EQ(TableBytes(*table), reference) << schedule;
   }
 }
 

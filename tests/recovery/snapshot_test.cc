@@ -1,5 +1,5 @@
-// Snapshot serialization: mining-state and pattern-table round trips,
-// envelope verification, dataset fingerprints, and the Checkpointer's
+// Snapshot serialization: mining-state round trips, envelope
+// verification, dataset fingerprints, and the Checkpointer's
 // restore/mismatch semantics.
 #include <gtest/gtest.h>
 
@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "core/explorer.h"
-#include "core/table_snapshot.h"
 #include "recovery/atomic_file.h"
 #include "recovery/checkpoint.h"
 #include "util/failpoint.h"
@@ -86,10 +85,24 @@ TEST(MiningSnapshotTest, FileRoundTripReportsBytes) {
 
 TEST(MiningSnapshotTest, RejectsWrongEnvelopeKind) {
   const std::string path = TempDir("kind") + "/wrong_kind.snap";
-  ASSERT_TRUE(WriteSnapshotFile(path, SnapshotKind::kPatternTable,
+  ASSERT_TRUE(WriteSnapshotFile(path, SnapshotKind::kWorkerSpec,
                                 SerializeMiningState(MakeState()))
                   .ok());
   EXPECT_FALSE(LoadMiningState(path).ok());
+}
+
+TEST(MiningSnapshotTest, RejectsRetiredTableKind) {
+  // Kind 2 was the pattern-table snapshot. It is retired, not reused: an
+  // old file of that kind stays unloadable as a mining state, even
+  // when its payload happens to parse as one.
+  const std::string path = TempDir("kind") + "/retired_kind.snap";
+  ASSERT_TRUE(WriteSnapshotFile(path, static_cast<SnapshotKind>(2),
+                                SerializeMiningState(MakeState()))
+                  .ok());
+  auto loaded = LoadMiningState(path);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument)
+      << loaded.status().ToString();
 }
 
 TEST(DatasetFingerprintTest, SensitiveToCellsAndOutcomes) {
@@ -110,44 +123,6 @@ TEST(DatasetFingerprintTest, SensitiveToCellsAndOutcomes) {
   mutated[2][1] = 1;
   EXPECT_NE(fp,
             DatasetFingerprint(db(MakeEncoded(mutated, {2, 2}), "TFBT")));
-}
-
-TEST(PatternTableSnapshotTest, RoundTripsBitIdentically) {
-  // A real exploration (with lattice links and Beta-posterior global
-  // stats) serialized, reloaded, and re-serialized: the payloads must
-  // match byte for byte.
-  const EncodedDataset ds = MakeEncoded(
-      {{0, 1, 0}, {1, 0, 1}, {0, 0, 0}, {1, 1, 1}, {0, 1, 1}, {1, 0, 0}},
-      {2, 2, 2});
-  DivergenceExplorer explorer(ExplorerOptions{});
-  auto table =
-      explorer.ExploreOutcomes(ds, OutcomesFromString("TFBTFT"));
-  ASSERT_TRUE(table.ok());
-
-  const std::string payload = SerializePatternTable(*table);
-  auto reloaded = DeserializePatternTable(payload);
-  ASSERT_TRUE(reloaded.ok()) << reloaded.status().ToString();
-  EXPECT_EQ(SerializePatternTable(*reloaded), payload);
-
-  // Spot-check the reloaded table behaves like the original.
-  EXPECT_EQ(reloaded->size(), table->size());
-  EXPECT_EQ(reloaded->global_rate(), table->global_rate());
-  EXPECT_EQ(reloaded->TopK(3), table->TopK(3));
-}
-
-TEST(PatternTableSnapshotTest, FileRoundTrip) {
-  const EncodedDataset ds =
-      MakeEncoded({{0, 1}, {1, 0}, {0, 0}, {1, 1}}, {2, 2});
-  DivergenceExplorer explorer(ExplorerOptions{});
-  auto table = explorer.ExploreOutcomes(ds, OutcomesFromString("TFBT"));
-  ASSERT_TRUE(table.ok());
-  const std::string path = TempDir("table") + "/table.snap";
-  uint64_t bytes = 0;
-  ASSERT_TRUE(SavePatternTable(path, *table, &bytes).ok());
-  EXPECT_GT(bytes, kSnapshotHeaderSize);
-  auto loaded = LoadPatternTable(path);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_EQ(SerializePatternTable(*loaded), SerializePatternTable(*table));
 }
 
 TEST(CheckpointerTest, FreshRunWritesAndResumeRestores) {

@@ -1,18 +1,23 @@
-// Artifact format tests: round-trip fidelity, degenerate tables, and
-// the robustness suite — truncation and byte-flip fuzzing over every
-// section must produce a clean Status, never UB (CI reruns this binary
-// under ASan+UBSan).
+// Artifact format tests: round-trip fidelity, degenerate tables, the
+// serialization contract (deterministic, canonical order, every column
+// and kNoLink hole in the bytes), and the robustness suite —
+// truncation and byte-flip fuzzing over every section must produce a
+// clean Status, never UB (CI reruns this binary under ASan+UBSan).
 #include "serve/artifact.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <span>
 #include <string>
 #include <vector>
 
-#include "core/table_snapshot.h"
 #include "recovery/atomic_file.h"
+#include "recovery/snapshot_file.h"
 #include "serve/server.h"
 #include "testing/test_explore.h"
 #include "util/random.h"
@@ -48,11 +53,8 @@ PatternTable MakeRandomTable(uint64_t seed, size_t rows = 150,
                         support);
 }
 
-std::string WriteArtifactBytes(const PatternTable& table,
-                               const std::string& leaf) {
-  const std::string path = TempDir(leaf) + "/table.dvt";
-  DIVEXP_CHECK_OK(WritePatternTableArtifact(path, table));
-  auto bytes = recovery::ReadFileToString(path);
+std::string WriteArtifactBytes(const PatternTable& table) {
+  auto bytes = SerializePatternTableArtifact(table);
   DIVEXP_CHECK_OK(bytes.status());
   return std::move(bytes).value();
 }
@@ -103,6 +105,12 @@ TEST(ArtifactTest, RoundTripPreservesEveryColumn) {
   EXPECT_EQ((*artifact)->fingerprint(), TableFingerprint(table));
   EXPECT_TRUE((*artifact)->ValidateFully().ok());
 
+  // The in-memory serialization is exactly what the writer put on disk.
+  auto on_disk = recovery::ReadFileToString(path);
+  ASSERT_TRUE(on_disk.ok());
+  EXPECT_EQ(on_disk->size(), bytes);
+  EXPECT_EQ(WriteArtifactBytes(table), *on_disk);
+
   const ArtifactInfo& info = (*artifact)->info();
   EXPECT_EQ(info.version, kArtifactVersion);
   EXPECT_EQ(info.num_rows, table.size());
@@ -112,19 +120,15 @@ TEST(ArtifactTest, RoundTripPreservesEveryColumn) {
   }
 }
 
-TEST(ArtifactTest, FingerprintAgreesBetweenTableAndBothBackings) {
+TEST(ArtifactTest, FingerprintAgreesBetweenTableAndArtifact) {
   const PatternTable table = MakeRandomTable(2);
   const uint64_t expected = TableFingerprint(table);
 
-  auto bytes = WriteArtifactBytes(table, "fingerprint");
+  auto bytes = WriteArtifactBytes(table);
   auto artifact = PatternTableArtifact::FromBuffer(bytes);
   ASSERT_TRUE(artifact.ok());
   EXPECT_EQ(TableFingerprint((*artifact)->view()), expected);
-
-  auto eager = EagerTableBacking::FromTable(table);
-  ASSERT_TRUE(eager.ok());
-  EXPECT_EQ(TableFingerprint((*eager)->view()), expected);
-  EXPECT_EQ((*eager)->view().fingerprint, expected);
+  EXPECT_EQ((*artifact)->view().fingerprint, expected);
 }
 
 TEST(ArtifactTest, FingerprintDistinguishesTables) {
@@ -144,7 +148,7 @@ TEST(ArtifactTest, EmptyTableOnlyEmptyItemsetRoundTrips) {
   const PatternTable table = ExploreForTest(cells, {2}, outcomes, 0.99);
   ASSERT_EQ(table.size(), 1u);
 
-  auto bytes = WriteArtifactBytes(table, "empty");
+  auto bytes = WriteArtifactBytes(table);
   auto artifact = PatternTableArtifact::FromBuffer(
       bytes, ArtifactValidation::kFull);
   ASSERT_TRUE(artifact.ok()) << artifact.status().ToString();
@@ -160,7 +164,7 @@ TEST(ArtifactTest, SinglePatternTableRoundTrips) {
   const PatternTable table = ExploreForTest(cells, {1}, outcomes, 0.5);
   ASSERT_EQ(table.size(), 2u);
 
-  auto bytes = WriteArtifactBytes(table, "single");
+  auto bytes = WriteArtifactBytes(table);
   auto artifact = PatternTableArtifact::FromBuffer(
       bytes, ArtifactValidation::kFull);
   ASSERT_TRUE(artifact.ok()) << artifact.status().ToString();
@@ -169,8 +173,7 @@ TEST(ArtifactTest, SinglePatternTableRoundTrips) {
 }
 
 TEST(ArtifactTest, EveryTruncationFailsCleanly) {
-  const std::string bytes = WriteArtifactBytes(MakeRandomTable(5),
-                                               "truncate");
+  const std::string bytes = WriteArtifactBytes(MakeRandomTable(5));
   // Every short prefix must yield a Status, not UB. Dense coverage over
   // the header + section table, strided through the payload.
   for (size_t len = 0; len < bytes.size(); len = len < 512 ? len + 1 : len + 97) {
@@ -210,8 +213,7 @@ void ServeMixedQueries(std::unique_ptr<PatternTableArtifact> artifact,
 }
 
 TEST(ArtifactTest, ByteFlipsInHeaderAndSectionTableAreCaughtOnOpen) {
-  const std::string bytes = WriteArtifactBytes(MakeRandomTable(6),
-                                               "flip_header");
+  const std::string bytes = WriteArtifactBytes(MakeRandomTable(6));
   const size_t envelope =
       kArtifactHeaderSize + kArtifactSectionCount * kArtifactSectionEntrySize;
   for (size_t pos = 0; pos < envelope; ++pos) {
@@ -224,7 +226,7 @@ TEST(ArtifactTest, ByteFlipsInHeaderAndSectionTableAreCaughtOnOpen) {
 
 TEST(ArtifactTest, ByteFlipsInEverySectionAreCaughtByFullValidation) {
   const PatternTable table = MakeRandomTable(7);
-  const std::string bytes = WriteArtifactBytes(table, "flip_section");
+  const std::string bytes = WriteArtifactBytes(table);
   auto clean = PatternTableArtifact::FromBuffer(bytes);
   ASSERT_TRUE(clean.ok());
   for (const ArtifactSectionInfo& section : (*clean)->info().sections) {
@@ -259,7 +261,7 @@ TEST(ArtifactTest, ByteFlipsInEverySectionAreCaughtByFullValidation) {
 
 TEST(ArtifactTest, HeaderTierCorruptInteriorOffsetsServeCleanErrors) {
   const PatternTable table = MakeRandomTable(12);
-  const std::string bytes = WriteArtifactBytes(table, "corrupt_offsets");
+  const std::string bytes = WriteArtifactBytes(table);
   auto clean = PatternTableArtifact::FromBuffer(bytes);
   ASSERT_TRUE(clean.ok());
   const ArtifactSectionInfo& ioff = (*clean)->info().sections[1];
@@ -293,7 +295,7 @@ TEST(ArtifactTest, HeaderTierCorruptInteriorOffsetsServeCleanErrors) {
 
 TEST(ArtifactTest, HeaderTierCorruptLinkValuesServeCleanErrors) {
   const PatternTable table = MakeRandomTable(13);
-  const std::string bytes = WriteArtifactBytes(table, "corrupt_links");
+  const std::string bytes = WriteArtifactBytes(table);
   auto clean = PatternTableArtifact::FromBuffer(bytes);
   ASSERT_TRUE(clean.ok());
   const ArtifactSectionInfo& links = (*clean)->info().sections[4];
@@ -326,7 +328,7 @@ TEST(ArtifactTest, HeaderTierCorruptLinkValuesServeCleanErrors) {
 
 TEST(ArtifactTest, HeaderTierCorruptItemIdsRenderPlaceholders) {
   const PatternTable table = MakeRandomTable(14);
-  const std::string bytes = WriteArtifactBytes(table, "corrupt_items");
+  const std::string bytes = WriteArtifactBytes(table);
   auto clean = PatternTableArtifact::FromBuffer(bytes);
   ASSERT_TRUE(clean.ok());
   const ArtifactSectionInfo& items = (*clean)->info().sections[0];
@@ -346,7 +348,7 @@ TEST(ArtifactTest, HeaderTierCorruptItemIdsRenderPlaceholders) {
 }
 
 TEST(ArtifactTest, WrongMagicAndByteSwappedMagicAreRejected) {
-  std::string bytes = WriteArtifactBytes(MakeRandomTable(8), "magic");
+  std::string bytes = WriteArtifactBytes(MakeRandomTable(8));
   std::string garbage = bytes;
   garbage[0] = 'X';
   EXPECT_FALSE(PatternTableArtifact::FromBuffer(garbage).ok());
@@ -361,21 +363,6 @@ TEST(ArtifactTest, WrongMagicAndByteSwappedMagicAreRejected) {
       << result.status().ToString();
 }
 
-TEST(ArtifactTest, FromMemoryRequiresAlignment) {
-  const std::string bytes = WriteArtifactBytes(MakeRandomTable(9),
-                                               "align");
-  std::vector<uint64_t> aligned((bytes.size() + 15) / 8);
-  std::memcpy(aligned.data(), bytes.data(), bytes.size());
-  auto ok = PatternTableArtifact::FromMemory(aligned.data(), bytes.size());
-  EXPECT_TRUE(ok.ok()) << ok.status().ToString();
-
-  const uint8_t* misaligned =
-      reinterpret_cast<const uint8_t*>(aligned.data()) + 1;
-  auto bad = PatternTableArtifact::FromMemory(misaligned, bytes.size());
-  ASSERT_FALSE(bad.ok());
-  EXPECT_EQ(bad.status().code(), StatusCode::kInvalidArgument);
-}
-
 TEST(ArtifactTest, EmptyAndMissingFilesAreRejected) {
   const std::string dir = TempDir("missing");
   EXPECT_FALSE(PatternTableArtifact::Open(dir + "/nope.dvt").ok());
@@ -384,39 +371,189 @@ TEST(ArtifactTest, EmptyAndMissingFilesAreRejected) {
   EXPECT_FALSE(PatternTableArtifact::FromBuffer("").ok());
 }
 
-TEST(ArtifactTest, MigrationFromSnapshotIsLossless) {
-  const PatternTable table = MakeRandomTable(10);
-  const std::string dir = TempDir("migrate");
-  const std::string snap = dir + "/table.snap";
-  const std::string dvt = dir + "/table.dvt";
-  ASSERT_TRUE(SavePatternTable(snap, table).ok());
-  ASSERT_TRUE(MigrateSnapshotToArtifact(snap, dvt).ok());
-
-  auto artifact = PatternTableArtifact::Open(dvt,
-                                             ArtifactValidation::kFull);
-  ASSERT_TRUE(artifact.ok()) << artifact.status().ToString();
-  ExpectViewMatchesTable((*artifact)->view(), table);
-  EXPECT_EQ((*artifact)->fingerprint(), TableFingerprint(table));
-}
-
-TEST(ArtifactTest, OpenServingTableSniffsBothFormatsAndRejectsGarbage) {
+TEST(ArtifactTest, OpenServingTableMapsArtifactsAndRejectsGarbage) {
   const PatternTable table = MakeRandomTable(11);
-  const std::string dir = TempDir("sniff");
+  const std::string dir = TempDir("open");
   ASSERT_TRUE(
       WritePatternTableArtifact(dir + "/table.dvt", table).ok());
-  ASSERT_TRUE(SavePatternTable(dir + "/table.snap", table).ok());
   DIVEXP_CHECK_OK(
       recovery::WriteFileAtomic(dir + "/garbage.bin", "not a table"));
 
-  auto via_artifact = OpenServingTable(dir + "/table.dvt");
-  ASSERT_TRUE(via_artifact.ok());
-  EXPECT_NE(via_artifact->artifact, nullptr);
-  auto via_snapshot = OpenServingTable(dir + "/table.snap");
-  ASSERT_TRUE(via_snapshot.ok());
-  EXPECT_NE(via_snapshot->eager, nullptr);
-  EXPECT_EQ(via_artifact->view().fingerprint,
-            via_snapshot->view().fingerprint);
-  EXPECT_FALSE(OpenServingTable(dir + "/garbage.bin").ok());
+  auto opened = OpenServingTable(dir + "/table.dvt");
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  ASSERT_NE(opened->artifact, nullptr);
+  EXPECT_EQ(opened->view().fingerprint, TableFingerprint(table));
+  auto garbage = OpenServingTable(dir + "/garbage.bin");
+  ASSERT_FALSE(garbage.ok());
+  EXPECT_EQ(garbage.status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST(ArtifactTest, OpenServingTableRejectsRetiredTableSnapshot) {
+  // A well-formed file of the retired pattern-table snapshot kind
+  // (envelope kind 2): one attribute and the empty-itemset row. The
+  // artifact is the only binary table format, so this is refused.
+  recovery::ByteWriter w;
+  w.PutU64(1);  // attributes
+  w.PutString("a");
+  w.PutU64(2);
+  w.PutString("x");
+  w.PutString("y");
+  w.PutU64(10);  // dataset rows
+  w.PutF64(0.5);  // global rate, mean, variance
+  w.PutF64(0.5);
+  w.PutF64(0.02);
+  w.PutU64(1);  // rows: the empty itemset
+  w.PutU32Vector(std::vector<uint32_t>{});
+  w.PutU64(5);  // t, f, bot
+  w.PutU64(5);
+  w.PutU64(0);
+  w.PutF64(1.0);  // support, rate, divergence, t
+  w.PutF64(0.5);
+  w.PutF64(0.0);
+  w.PutF64(0.0);
+  w.PutU32Vector(std::vector<uint32_t>{});  // subset links
+  w.PutU64(2);  // link offsets
+  w.PutU64(0);
+  w.PutU64(0);
+  const std::string path = TempDir("retired") + "/table.snap";
+  ASSERT_TRUE(recovery::WriteSnapshotFile(
+                  path, static_cast<recovery::SnapshotKind>(2), w.data())
+                  .ok());
+
+  auto opened = OpenServingTable(path);
+  ASSERT_FALSE(opened.ok());
+  EXPECT_EQ(opened.status().code(), StatusCode::kInvalidArgument)
+      << opened.status().ToString();
+}
+
+/// Two binary attributes: a0 = items {0, 1}, a1 = items {2, 3}.
+ItemCatalog MakeTwoAttrCatalog(const std::string& first_label = "v0") {
+  ItemCatalog catalog;
+  catalog.AddAttribute("a0", {first_label, "v1"});
+  catalog.AddAttribute("a1", {"v0", "v1"});
+  return catalog;
+}
+
+/// A table whose rows keep the order of `mined` (Create does not sort).
+PatternTable MakeHandTable(std::vector<MinedPattern> mined,
+                           ItemCatalog catalog = MakeTwoAttrCatalog(),
+                           size_t num_rows = 10) {
+  auto table = PatternTable::Create(std::move(mined), std::move(catalog),
+                                    num_rows);
+  DIVEXP_CHECK_OK(table.status());
+  return std::move(table).value();
+}
+
+/// Canonical rows: the empty itemset, two singletons and their pair.
+std::vector<MinedPattern> CanonicalPatterns() {
+  return {{Itemset{}, OutcomeCounts{5, 4, 1}},
+          {Itemset{0}, OutcomeCounts{3, 2, 0}},
+          {Itemset{2}, OutcomeCounts{4, 1, 1}},
+          {Itemset{0, 2}, OutcomeCounts{2, 1, 0}}};
+}
+
+TEST(ArtifactTest, SerializationIsDeterministic) {
+  // Two independent explorations of the same data serialize to the same
+  // bytes, and serializing one table twice does too: the harnesses that
+  // compare TableBytes across run modes depend on it.
+  const std::string first = WriteArtifactBytes(MakeRandomTable(15));
+  const PatternTable again = MakeRandomTable(15);
+  EXPECT_EQ(WriteArtifactBytes(again), first);
+  EXPECT_EQ(WriteArtifactBytes(again), first);
+  EXPECT_NE(WriteArtifactBytes(MakeRandomTable(16)), first);
+}
+
+TEST(ArtifactTest, SerializedBytesReflectTalliesCatalogAndDatasetSize) {
+  // The bit-identity oracle is only as strict as the bytes: a change to
+  // any logical column must change them.
+  const std::string base =
+      WriteArtifactBytes(MakeHandTable(CanonicalPatterns()));
+
+  std::vector<MinedPattern> bot_moved = CanonicalPatterns();
+  bot_moved[2].counts = OutcomeCounts{4, 2, 0};  // same support, new rate
+  EXPECT_NE(WriteArtifactBytes(MakeHandTable(bot_moved)), base);
+
+  std::vector<MinedPattern> global_moved = CanonicalPatterns();
+  global_moved[0].counts = OutcomeCounts{6, 3, 1};  // new f(D)
+  EXPECT_NE(WriteArtifactBytes(MakeHandTable(global_moved)), base);
+
+  EXPECT_NE(WriteArtifactBytes(MakeHandTable(CanonicalPatterns(),
+                                             MakeTwoAttrCatalog(), 20)),
+            base);
+  EXPECT_NE(WriteArtifactBytes(MakeHandTable(
+                CanonicalPatterns(), MakeTwoAttrCatalog("w0"))),
+            base);
+}
+
+TEST(ArtifactTest, NoLinkHolesRoundTrip) {
+  // {0} is absent (as after a guard truncation), so {0, 2} keeps a
+  // kNoLink hole where its subset {0} would be.
+  const PatternTable table =
+      MakeHandTable({{Itemset{}, OutcomeCounts{5, 4, 1}},
+                     {Itemset{2}, OutcomeCounts{4, 1, 1}},
+                     {Itemset{0, 2}, OutcomeCounts{2, 1, 0}}});
+  ASSERT_EQ(table.SubsetLinks(2)[1], PatternTable::kNoLink);
+
+  auto artifact = PatternTableArtifact::FromBuffer(
+      WriteArtifactBytes(table), ArtifactValidation::kFull);
+  ASSERT_TRUE(artifact.ok()) << artifact.status().ToString();
+  ExpectViewMatchesTable((*artifact)->view(), table);
+  const std::span<const uint32_t> links = (*artifact)->view().row_links(2);
+  ASSERT_EQ(links.size(), 2u);
+  EXPECT_EQ(links[0], 1u);  // {0, 2} \ {0} = {2}
+  EXPECT_EQ(links[1], PatternTable::kNoLink);
+
+  // The hole is part of the bytes: the complete table differs.
+  EXPECT_NE(WriteArtifactBytes(MakeHandTable(CanonicalPatterns())),
+            WriteArtifactBytes(table));
+}
+
+TEST(ArtifactTest, SerializeRejectsNonCanonicalRowOrder) {
+  std::vector<MinedPattern> swapped = CanonicalPatterns();
+  std::swap(swapped[1], swapped[2]);  // {2} before {0}
+  std::vector<MinedPattern> root_last = CanonicalPatterns();
+  std::rotate(root_last.begin(), root_last.begin() + 1, root_last.end());
+
+  const std::string dir = TempDir("noncanonical");
+  for (const auto& mined : {swapped, root_last}) {
+    const PatternTable table = MakeHandTable(mined);
+    auto bytes = SerializePatternTableArtifact(table);
+    ASSERT_FALSE(bytes.ok());
+    EXPECT_EQ(bytes.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(bytes.status().message().find("canonical order"),
+              std::string::npos)
+        << bytes.status().ToString();
+
+    // The writer refuses the same table before touching the file.
+    const std::string path = dir + "/table.dvt";
+    std::remove(path.c_str());
+    uint64_t written = 7;
+    EXPECT_EQ(WritePatternTableArtifact(path, table, &written).code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_EQ(written, 7u);
+    EXPECT_FALSE(recovery::ReadFileToString(path).ok());
+  }
+}
+
+TEST(ArtifactTest, FromBufferOwnsAnAlignedCopy) {
+  const PatternTable table = MakeRandomTable(17);
+  std::string bytes = WriteArtifactBytes(table);
+  auto artifact = PatternTableArtifact::FromBuffer(bytes);
+  ASSERT_TRUE(artifact.ok()) << artifact.status().ToString();
+
+  // The caller's buffer is no longer needed once FromBuffer returns.
+  std::fill(bytes.begin(), bytes.end(), '\0');
+  bytes.clear();
+  bytes.shrink_to_fit();
+  const TableView& view = (*artifact)->view();
+  EXPECT_EQ(reinterpret_cast<uintptr_t>(view.tallies.data()) %
+                alignof(uint64_t),
+            0u);
+  EXPECT_EQ(reinterpret_cast<uintptr_t>(view.stats.data()) %
+                alignof(double),
+            0u);
+  ExpectViewMatchesTable(view, table);
+  EXPECT_TRUE((*artifact)->ValidateFully().ok());
 }
 
 }  // namespace

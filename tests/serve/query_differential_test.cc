@@ -1,7 +1,7 @@
-// Differential oracle for the serving path: every query must be
-// bit-identical across the in-memory PatternTable (the reference
-// implementation in core/), the mmap'd artifact backing and the eager
-// snapshot backing. Exact double equality throughout — the serve
+// Differential oracle for the serving path: every query served from
+// the mmap'd artifact must be bit-identical to the in-memory
+// PatternTable it was written from (the reference implementation in
+// core/). Exact double equality throughout — the serve
 // engine replicates the core algorithms including their tie-breaks and
 // scan orders, so any drift is a bug, not tolerance noise.
 #include <gtest/gtest.h>
@@ -13,10 +13,11 @@
 #include "core/corrective.h"
 #include "core/lattice.h"
 #include "core/shapley.h"
-#include "core/table_snapshot.h"
 #include "recovery/atomic_file.h"
 #include "serve/artifact.h"
 #include "serve/query.h"
+#include "serve/server.h"
+#include "testing/table_bytes.h"
 #include "testing/test_explore.h"
 #include "util/random.h"
 
@@ -25,6 +26,7 @@ namespace serve {
 namespace {
 
 using divexp::testing::ExploreForTest;
+using divexp::testing::TableBytes;
 
 std::string TempDir(const std::string& leaf) {
   const char* base = std::getenv("TMPDIR");
@@ -51,12 +53,10 @@ PatternTable MakeRandomTable(uint64_t seed, size_t rows = 160,
                         support);
 }
 
-/// The reference table plus both serving backings over it.
+/// The reference table plus the artifact written from it, mmap'd.
 struct Harness {
   PatternTable table;
   std::unique_ptr<PatternTableArtifact> artifact;
-  std::unique_ptr<EagerTableBacking> eager;
-  std::vector<std::pair<const char*, const TableView*>> views;
 
   explicit Harness(uint64_t seed, const std::string& leaf)
       : table(MakeRandomTable(seed)) {
@@ -65,10 +65,6 @@ struct Harness {
     auto opened = PatternTableArtifact::Open(path);
     DIVEXP_CHECK_OK(opened.status());
     artifact = std::move(opened).value();
-    auto from_table = EagerTableBacking::FromTable(table);
-    DIVEXP_CHECK_OK(from_table.status());
-    eager = std::move(from_table).value();
-    views = {{"mmap", &artifact->view()}, {"eager", &eager->view()}};
   }
 };
 
@@ -86,14 +82,12 @@ TEST(QueryDifferentialTest, TopKMatchesPatternTableTopK) {
           query.descending = descending;
           query.min_support = min_support;
           query.max_len = 2;
-          for (const auto& [name, view] : h.views) {
-            QueryEngine engine(view);
-            auto got = engine.TopK(query);
-            ASSERT_TRUE(got.ok()) << name;
-            EXPECT_EQ(*got, expected)
-                << name << " k=" << k << " desc=" << descending
-                << " min_support=" << min_support;
-          }
+          QueryEngine engine(&h.artifact->view());
+          auto got = engine.TopK(query);
+          ASSERT_TRUE(got.ok());
+          EXPECT_EQ(*got, expected)
+              << "k=" << k << " desc=" << descending
+              << " min_support=" << min_support;
         }
       }
     }
@@ -112,12 +106,10 @@ TEST(QueryDifferentialTest, UnboundedTopKMatchesRankForEveryKey) {
       query.k = h.table.size() + 1;  // no truncation: Rank equivalence
       query.key = key;
       query.descending = descending;
-      for (const auto& [name, view] : h.views) {
-        QueryEngine engine(view);
-        auto got = engine.TopK(query);
-        ASSERT_TRUE(got.ok()) << name;
-        EXPECT_EQ(*got, expected) << name << " desc=" << descending;
-      }
+      QueryEngine engine(&h.artifact->view());
+      auto got = engine.TopK(query);
+      ASSERT_TRUE(got.ok());
+      EXPECT_EQ(*got, expected) << "desc=" << descending;
     }
   }
 }
@@ -130,17 +122,15 @@ TEST(QueryDifferentialTest, ShapleyIsBitIdenticalForEveryRow) {
       if (items.empty()) continue;
       auto expected = ShapleyContributions(h.table, items);
       ASSERT_TRUE(expected.ok());
-      for (const auto& [name, view] : h.views) {
-        QueryEngine engine(view);
-        auto got = engine.Shapley(items);
-        ASSERT_TRUE(got.ok()) << name;
-        ASSERT_EQ(got->size(), expected->size()) << name;
-        for (size_t j = 0; j < got->size(); ++j) {
-          EXPECT_EQ((*got)[j].item, (*expected)[j].item) << name;
-          // Bit-identical, not approximately equal.
-          EXPECT_EQ((*got)[j].contribution, (*expected)[j].contribution)
-              << name << " row " << i << " item " << j;
-        }
+      QueryEngine engine(&h.artifact->view());
+      auto got = engine.Shapley(items);
+      ASSERT_TRUE(got.ok());
+      ASSERT_EQ(got->size(), expected->size());
+      for (size_t j = 0; j < got->size(); ++j) {
+        EXPECT_EQ((*got)[j].item, (*expected)[j].item);
+        // Bit-identical, not approximately equal.
+        EXPECT_EQ((*got)[j].contribution, (*expected)[j].contribution)
+            << "row " << i << " item " << j;
       }
     }
   }
@@ -155,26 +145,24 @@ TEST(QueryDifferentialTest, BrowseMatchesBuildLattice) {
     ++targets;
     auto expected = BuildLattice(h.table, target);
     ASSERT_TRUE(expected.ok());
-    for (const auto& [name, view] : h.views) {
-      QueryEngine engine(view);
-      auto got = engine.Browse(target);
-      ASSERT_TRUE(got.ok()) << name;
-      ASSERT_EQ(got->nodes.size(), expected->nodes.size()) << name;
-      for (size_t n = 0; n < got->nodes.size(); ++n) {
-        const LatticeNode& a = got->nodes[n];
-        const LatticeNode& b = expected->nodes[n];
-        EXPECT_EQ(a.items, b.items) << name;
-        EXPECT_EQ(a.level, b.level) << name;
-        EXPECT_EQ(a.divergence, b.divergence) << name;
-        EXPECT_EQ(a.t, b.t) << name;
-        EXPECT_EQ(a.frequent, b.frequent) << name;
-        EXPECT_EQ(a.corrective, b.corrective) << name;
-      }
-      ASSERT_EQ(got->edges.size(), expected->edges.size()) << name;
-      for (size_t e = 0; e < got->edges.size(); ++e) {
-        EXPECT_EQ(got->edges[e].from, expected->edges[e].from) << name;
-        EXPECT_EQ(got->edges[e].to, expected->edges[e].to) << name;
-      }
+    QueryEngine engine(&h.artifact->view());
+    auto got = engine.Browse(target);
+    ASSERT_TRUE(got.ok());
+    ASSERT_EQ(got->nodes.size(), expected->nodes.size());
+    for (size_t n = 0; n < got->nodes.size(); ++n) {
+      const LatticeNode& a = got->nodes[n];
+      const LatticeNode& b = expected->nodes[n];
+      EXPECT_EQ(a.items, b.items);
+      EXPECT_EQ(a.level, b.level);
+      EXPECT_EQ(a.divergence, b.divergence);
+      EXPECT_EQ(a.t, b.t);
+      EXPECT_EQ(a.frequent, b.frequent);
+      EXPECT_EQ(a.corrective, b.corrective);
+    }
+    ASSERT_EQ(got->edges.size(), expected->edges.size());
+    for (size_t e = 0; e < got->edges.size(); ++e) {
+      EXPECT_EQ(got->edges[e].from, expected->edges[e].from);
+      EXPECT_EQ(got->edges[e].to, expected->edges[e].to);
     }
   }
   ASSERT_GT(targets, 0u) << "test table has no multi-item patterns";
@@ -189,53 +177,23 @@ TEST(QueryDifferentialTest, CorrectiveMatchesFindCorrectiveItems) {
       options.top_k = top_k;
       const std::vector<CorrectiveItem> expected =
           FindCorrectiveItems(h.table, options);
-      for (const auto& [name, view] : h.views) {
-        QueryEngine engine(view);
-        auto got = engine.Corrective(options);
-        ASSERT_TRUE(got.ok()) << name;
-        ASSERT_EQ(got->size(), expected.size())
-            << name << " min_factor=" << min_factor << " k=" << top_k;
-        for (size_t j = 0; j < got->size(); ++j) {
-          EXPECT_EQ((*got)[j].base, expected[j].base) << name;
-          EXPECT_EQ((*got)[j].item, expected[j].item) << name;
-          EXPECT_EQ((*got)[j].base_divergence,
-                    expected[j].base_divergence)
-              << name;
-          EXPECT_EQ((*got)[j].with_divergence,
-                    expected[j].with_divergence)
-              << name;
-          EXPECT_EQ((*got)[j].factor, expected[j].factor) << name;
-          EXPECT_EQ((*got)[j].t, expected[j].t) << name;
-        }
+      QueryEngine engine(&h.artifact->view());
+      auto got = engine.Corrective(options);
+      ASSERT_TRUE(got.ok());
+      ASSERT_EQ(got->size(), expected.size())
+          << "min_factor=" << min_factor << " k=" << top_k;
+      for (size_t j = 0; j < got->size(); ++j) {
+        EXPECT_EQ((*got)[j].base, expected[j].base);
+        EXPECT_EQ((*got)[j].item, expected[j].item);
+        EXPECT_EQ((*got)[j].base_divergence,
+                  expected[j].base_divergence);
+        EXPECT_EQ((*got)[j].with_divergence,
+                  expected[j].with_divergence);
+        EXPECT_EQ((*got)[j].factor, expected[j].factor);
+        EXPECT_EQ((*got)[j].t, expected[j].t);
       }
     }
   }
-}
-
-TEST(QueryDifferentialTest, SnapshotLoadedBackingMatchesArtifact) {
-  // The full migration path: explore → snapshot → (a) eager load,
-  // (b) migrate to artifact. Both serve identical bits.
-  Harness h(9, "snapshot");
-  const std::string dir = TempDir("snapshot_load");
-  const std::string snap = dir + "/table.snap";
-  const std::string dvt = dir + "/table.dvt";
-  ASSERT_TRUE(SavePatternTable(snap, h.table).ok());
-  ASSERT_TRUE(MigrateSnapshotToArtifact(snap, dvt).ok());
-  auto eager = EagerTableBacking::Load(snap);
-  ASSERT_TRUE(eager.ok());
-  auto artifact = PatternTableArtifact::Open(dvt);
-  ASSERT_TRUE(artifact.ok());
-
-  QueryEngine via_eager(&(*eager)->view());
-  QueryEngine via_artifact(&(*artifact)->view());
-  TopKQuery query;
-  query.k = h.table.size();
-  auto a = via_eager.TopK(query);
-  auto b = via_artifact.TopK(query);
-  ASSERT_TRUE(a.ok());
-  ASSERT_TRUE(b.ok());
-  EXPECT_EQ(*a, *b);
-  EXPECT_EQ(*a, h.table.TopK(h.table.size()));
 }
 
 TEST(QueryDifferentialTest, ErrorMessagesMatchTheCoreImplementations) {
@@ -246,19 +204,15 @@ TEST(QueryDifferentialTest, ErrorMessagesMatchTheCoreImplementations) {
   ASSERT_FALSE(h.table.Contains(missing));
   auto core_shapley = ShapleyContributions(h.table, missing);
   auto core_lattice = BuildLattice(h.table, missing);
-  for (const auto& [name, view] : h.views) {
-    QueryEngine engine(view);
-    auto shapley = engine.Shapley(missing);
-    ASSERT_FALSE(shapley.ok()) << name;
-    EXPECT_EQ(shapley.status().ToString(),
-              core_shapley.status().ToString())
-        << name;
-    auto browse = engine.Browse(missing);
-    ASSERT_FALSE(browse.ok()) << name;
-    EXPECT_EQ(browse.status().ToString(),
-              core_lattice.status().ToString())
-        << name;
-  }
+  QueryEngine engine(&h.artifact->view());
+  auto shapley = engine.Shapley(missing);
+  ASSERT_FALSE(shapley.ok());
+  EXPECT_EQ(shapley.status().ToString(),
+            core_shapley.status().ToString());
+  auto browse = engine.Browse(missing);
+  ASSERT_FALSE(browse.ok());
+  EXPECT_EQ(browse.status().ToString(),
+            core_lattice.status().ToString());
 }
 
 TEST(QueryDifferentialTest, CancelledGuardStopsEveryQuery) {
@@ -280,6 +234,44 @@ TEST(QueryDifferentialTest, CancelledGuardStopsEveryQuery) {
     EXPECT_EQ(engine.Shapley(items, &guard).status().code(),
               StatusCode::kCancelled);
     break;
+  }
+}
+
+TEST(QueryDifferentialTest, BufferAndMappedArtifactsAnswerIdentically) {
+  // The same bytes attached two ways — mmap'd from the file the writer
+  // produced, and copied from SerializePatternTableArtifact in memory —
+  // must give byte-identical responses to every verb.
+  Harness h(12, "buffer");
+  auto from_buffer = PatternTableArtifact::FromBuffer(TableBytes(h.table));
+  ASSERT_TRUE(from_buffer.ok()) << from_buffer.status().ToString();
+  ServingTable mapped;
+  mapped.artifact = std::move(h.artifact);
+  ServingTable buffered;
+  buffered.artifact = std::move(from_buffer).value();
+  QueryServiceOptions no_cache;
+  no_cache.cache_enabled = false;
+  QueryService mapped_service(&mapped, no_cache);
+  QueryService buffered_service(&buffered, no_cache);
+
+  std::vector<std::string> lines = {
+      "stats", "topk k=5", "topk k=7 key=support order=asc",
+      "topk k=3 key=significance min_support=0.1", "corrective k=5"};
+  const TableView& view = mapped.view();
+  for (size_t i = 1; i < view.size(); ++i) {
+    std::string spec;
+    const ItemSpan items = view.row_items(i);
+    for (size_t j = 0; j < items.size(); ++j) {
+      if (j) spec += ',';
+      spec += view.catalog->ItemName(items[j]);
+    }
+    lines.push_back("shapley items=" + spec);
+    lines.push_back("browse items=" + spec);
+  }
+  for (const std::string& line : lines) {
+    const std::string response = mapped_service.HandleLine(line);
+    EXPECT_NE(response.find("\"ok\":true"), std::string::npos)
+        << line << " -> " << response;
+    EXPECT_EQ(buffered_service.HandleLine(line), response) << line;
   }
 }
 

@@ -10,9 +10,10 @@
 #include <string>
 #include <vector>
 
-#include "core/table_snapshot.h"
 #include "obs/json.h"
+#include "obs/metrics.h"
 #include "recovery/atomic_file.h"
+#include "recovery/snapshot_file.h"
 #include "serve/artifact.h"
 #include "testing/test_explore.h"
 #include "util/random.h"
@@ -259,23 +260,40 @@ TEST_F(ServerTest, ServeLoopAnswersEachLineAndStopsOnQuit) {
   EXPECT_NE(lines[2].find("\"quit\":true"), std::string::npos);
 }
 
-TEST_F(ServerTest, EagerBackingServesSnapshots) {
-  const PatternTable table = MakeRandomTable(1);
-  const std::string path = TempDir("snap") + "/table.snap";
-  DIVEXP_CHECK_OK(SavePatternTable(path, table));
-  auto opened = OpenServingTable(path);
-  ASSERT_TRUE(opened.ok());
-  ServingTable snapshot_table = std::move(opened).value();
-  QueryService service(&snapshot_table);
+TEST_F(ServerTest, OpenCountsMappedTablesAndRefusesOtherFiles) {
+  // serve.open.mmap counts tables that came up; a refused file leaves it
+  // alone. A mining checkpoint is the snapshot file users most likely
+  // still have lying around — it must fail cleanly, naming the format.
+  obs::Counter* opens =
+      obs::MetricsRegistry::Default().GetCounter("serve.open.mmap");
+  const std::string dir = TempDir("open_count");
+  DIVEXP_CHECK_OK(
+      WritePatternTableArtifact(dir + "/table.dvt", MakeRandomTable(2)));
+  // Checkpoint-sized, so the open gets past the length check to the
+  // magic.
+  DIVEXP_CHECK_OK(recovery::WriteSnapshotFile(
+      dir + "/mining.ckpt", recovery::SnapshotKind::kMiningState,
+      std::string(512, '\x5a')));
+
+  const uint64_t before = opens->Value();
+  auto table = OpenServingTable(dir + "/table.dvt");
+  ASSERT_TRUE(table.ok()) << table.status().ToString();
+  EXPECT_EQ(opens->Value(), before + 1);
+
+  auto checkpoint = OpenServingTable(dir + "/mining.ckpt");
+  ASSERT_FALSE(checkpoint.ok());
+  EXPECT_EQ(checkpoint.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(checkpoint.status().message().find("bad magic"),
+            std::string::npos)
+      << checkpoint.status().ToString();
+  EXPECT_FALSE(OpenServingTable(dir + "/missing.dvt").ok());
+  EXPECT_EQ(opens->Value(), before + 1);
+
+  // The table that did open serves, and says how it is backed.
+  QueryService service(&*table);
   const obs::JsonValue v = Parse(service.HandleLine("stats"));
   ASSERT_TRUE(Ok(v));
-  EXPECT_EQ(v.Find("backing")->string, "eager");
-
-  // Same fingerprint as the artifact backing: cache keys are portable
-  // across backings of the same logical table.
-  QueryService artifact_service = MakeService();
-  const obs::JsonValue a = Parse(artifact_service.HandleLine("stats"));
-  EXPECT_EQ(v.Find("fingerprint")->string, a.Find("fingerprint")->string);
+  EXPECT_EQ(v.Find("backing")->string, "mmap");
 }
 
 }  // namespace

@@ -16,9 +16,9 @@
 #include <vector>
 
 #include "core/explorer.h"
-#include "core/table_snapshot.h"
 #include "recovery/atomic_file.h"
 #include "shard/shard.h"
+#include "testing/table_bytes.h"
 #include "testing/test_data.h"
 #include "util/failpoint.h"
 #include "util/random.h"
@@ -28,6 +28,7 @@ namespace shard {
 namespace {
 
 using divexp::testing::MakeEncoded;
+using divexp::testing::TableBytes;
 
 std::string TempDir(const std::string& leaf) {
   const char* base = std::getenv("TMPDIR");
@@ -120,7 +121,7 @@ std::string MonolithicReference(
   DivergenceExplorer explorer(opts);
   auto table = explorer.ExploreOutcomes(w.dataset, w.outcomes);
   DIVEXP_CHECK(table.ok());
-  return SerializePatternTable(*table);
+  return TableBytes(*table);
 }
 
 void RunCell(const Workload& w, MinerKind miner, double support,
@@ -158,7 +159,7 @@ void RunCell(const Workload& w, MinerKind miner, double support,
     ShardedExplorer explorer(opts);
     auto table = explorer.ExploreOutcomes(w.dataset, w.outcomes);
     ASSERT_TRUE(table.ok()) << table.status().ToString();
-    ASSERT_EQ(SerializePatternTable(*table), reference);
+    ASSERT_EQ(TableBytes(*table), reference);
     if (explorer.last_run_stats().retries_total > 0) ++recovered;
   }
   // The schedule space is tuned so a healthy fraction of rounds
@@ -265,7 +266,7 @@ TEST(ShardFaultDropTest, DroppedShardMatchesMonolithicOverSurvivors) {
   ShardedExplorer explorer(opts);
   auto table = explorer.ExploreOutcomes(full.dataset, full.outcomes);
   ASSERT_TRUE(table.ok()) << table.status().ToString();
-  EXPECT_EQ(SerializePatternTable(*table), reference);
+  EXPECT_EQ(TableBytes(*table), reference);
   EXPECT_LT(explorer.last_run_stats().rows_covered_fraction, 1.0);
 }
 

@@ -20,12 +20,12 @@
 #include <vector>
 
 #include "core/explorer.h"
-#include "core/table_snapshot.h"
 #include "obs/metrics.h"
 #include "recovery/atomic_file.h"
 #include "shard/shard.h"
 #include "shard/worker/coordinator.h"
 #include "shard/worker/worker.h"
+#include "testing/table_bytes.h"
 #include "testing/test_data.h"
 #include "util/random.h"
 #include "util/subprocess.h"
@@ -35,6 +35,7 @@ namespace shard {
 namespace {
 
 using divexp::testing::MakeEncoded;
+using divexp::testing::TableBytes;
 
 std::string TempDir(const std::string& leaf) {
   const char* base = std::getenv("TMPDIR");
@@ -110,7 +111,7 @@ std::string MonolithicReference(const Workload& w, MinerKind miner,
   DivergenceExplorer explorer(opts);
   auto table = explorer.ExploreOutcomes(w.dataset, w.outcomes);
   DIVEXP_CHECK(table.ok());
-  return SerializePatternTable(*table);
+  return TableBytes(*table);
 }
 
 /// Process-isolated ShardedExplorerOptions with sane test supervision
@@ -170,7 +171,7 @@ TEST_P(ShardProcessTest, CleanRunsMatchMonolithicBytes) {
     ShardedExplorer explorer(opts);
     auto table = explorer.ExploreOutcomes(w.dataset, w.outcomes);
     ASSERT_TRUE(table.ok()) << table.status().ToString();
-    EXPECT_EQ(SerializePatternTable(*table), reference);
+    EXPECT_EQ(TableBytes(*table), reference);
     EXPECT_EQ(explorer.last_run_stats().shard_isolation, "process");
     EXPECT_EQ(explorer.last_run_stats().retries_total, 0u);
     ExpectNoZombies();
@@ -208,7 +209,7 @@ TEST_P(ShardProcessTest, KilledAndSegvedWorkersStayBitIdentical) {
     ShardedExplorer explorer(opts);
     auto table = explorer.ExploreOutcomes(w.dataset, w.outcomes);
     ASSERT_TRUE(table.ok()) << table.status().ToString();
-    ASSERT_EQ(SerializePatternTable(*table), reference);
+    ASSERT_EQ(TableBytes(*table), reference);
     if (explorer.last_run_stats().retries_total > 0) ++recovered;
     ExpectNoZombies();
   }
@@ -246,7 +247,7 @@ TEST_P(ShardProcessTest, SigkilledWorkerResumesFromShardCheckpoint) {
   ShardedExplorer explorer(opts);
   auto table = explorer.ExploreOutcomes(w.dataset, w.outcomes);
   ASSERT_TRUE(table.ok()) << table.status().ToString();
-  EXPECT_EQ(SerializePatternTable(*table), reference);
+  EXPECT_EQ(TableBytes(*table), reference);
   const ExplorerRunStats& stats = explorer.last_run_stats();
   EXPECT_GT(stats.retries_total, 0u);
   EXPECT_GT(stats.checkpoints_written, 0u);
@@ -291,7 +292,7 @@ TEST(ShardProcessSupervisionTest, StalledHeartbeatIsKilledAndRetried) {
   ShardedExplorer explorer(opts);
   auto table = explorer.ExploreOutcomes(w.dataset, w.outcomes);
   ASSERT_TRUE(table.ok()) << table.status().ToString();
-  EXPECT_EQ(SerializePatternTable(*table), reference);
+  EXPECT_EQ(TableBytes(*table), reference);
   EXPECT_GT(explorer.last_run_stats().retries_total, 0u);
   EXPECT_GT(HeartbeatTimeouts(), timeouts_before);
   ExpectNoZombies();
@@ -345,7 +346,7 @@ TEST(ShardProcessSupervisionTest, ExhaustedShardDegradesUnderDropPolicy) {
   ShardedExplorer explorer(opts);
   auto table = explorer.ExploreOutcomes(w.dataset, w.outcomes);
   ASSERT_TRUE(table.ok()) << table.status().ToString();
-  EXPECT_EQ(SerializePatternTable(*table), reference);
+  EXPECT_EQ(TableBytes(*table), reference);
   EXPECT_LT(explorer.last_run_stats().rows_covered_fraction, 1.0);
   ExpectNoZombies();
 }

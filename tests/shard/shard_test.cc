@@ -11,8 +11,8 @@
 #include <vector>
 
 #include "core/explorer.h"
-#include "core/table_snapshot.h"
 #include "recovery/atomic_file.h"
+#include "testing/table_bytes.h"
 #include "testing/test_data.h"
 #include "util/failpoint.h"
 #include "util/random.h"
@@ -22,6 +22,7 @@ namespace shard {
 namespace {
 
 using divexp::testing::MakeEncoded;
+using divexp::testing::TableBytes;
 
 std::string TempDir(const std::string& leaf) {
   const char* base = std::getenv("TMPDIR");
@@ -79,7 +80,7 @@ std::string MonolithicReference(const Workload& w, double support = 0.05) {
   DivergenceExplorer explorer(opts);
   auto table = explorer.ExploreOutcomes(w.dataset, w.outcomes);
   DIVEXP_CHECK(table.ok());
-  return SerializePatternTable(*table);
+  return TableBytes(*table);
 }
 
 TEST(ShardFailurePolicyTest, NamesRoundTrip) {
@@ -128,7 +129,7 @@ TEST(ShardedExplorerTest, BitIdenticalToMonolithicAcrossShardCounts) {
       ShardedExplorer explorer(opts);
       auto table = explorer.ExploreOutcomes(w.dataset, w.outcomes);
       ASSERT_TRUE(table.ok()) << table.status().ToString();
-      EXPECT_EQ(SerializePatternTable(*table), reference)
+      EXPECT_EQ(TableBytes(*table), reference)
           << "shards=" << shards << " parallelism=" << parallelism;
       const ExplorerRunStats& stats = explorer.last_run_stats();
       EXPECT_EQ(stats.shards, shards);
@@ -158,8 +159,7 @@ TEST(ShardedExplorerTest, ExplorePredictionsPathMatchesMonolithic) {
   auto actual = sharded.Explore(w.dataset, preds, truths,
                                 Metric::kFalsePositiveRate);
   ASSERT_TRUE(actual.ok()) << actual.status().ToString();
-  EXPECT_EQ(SerializePatternTable(*actual),
-            SerializePatternTable(*expected));
+  EXPECT_EQ(TableBytes(*actual), TableBytes(*expected));
 }
 
 TEST(ShardedExplorerTest, MoreShardsThanRowsStillExact) {
@@ -168,7 +168,7 @@ TEST(ShardedExplorerTest, MoreShardsThanRowsStillExact) {
   ShardedExplorer explorer(BaseOptions(8, 0.2));
   auto table = explorer.ExploreOutcomes(w.dataset, w.outcomes);
   ASSERT_TRUE(table.ok()) << table.status().ToString();
-  EXPECT_EQ(SerializePatternTable(*table), reference);
+  EXPECT_EQ(TableBytes(*table), reference);
 }
 
 TEST(ShardedExplorerTest, TransientFaultIsRetriedToTheExactResult) {
@@ -185,7 +185,7 @@ TEST(ShardedExplorerTest, TransientFaultIsRetriedToTheExactResult) {
   ShardedExplorer explorer(opts);
   auto table = explorer.ExploreOutcomes(w.dataset, w.outcomes);
   ASSERT_TRUE(table.ok()) << table.status().ToString();
-  EXPECT_EQ(SerializePatternTable(*table), reference);
+  EXPECT_EQ(TableBytes(*table), reference);
   const ExplorerRunStats& stats = explorer.last_run_stats();
   EXPECT_EQ(stats.retries_total, 1u);
   EXPECT_EQ(stats.shards_failed, 0u);
@@ -245,7 +245,7 @@ TEST(ShardedExplorerTest, DropPolicyMatchesMonolithicOverSurvivingRows) {
   ShardedExplorer explorer(opts);
   auto table = explorer.ExploreOutcomes(w.dataset, w.outcomes);
   ASSERT_TRUE(table.ok()) << table.status().ToString();
-  EXPECT_EQ(SerializePatternTable(*table), reference);
+  EXPECT_EQ(TableBytes(*table), reference);
 
   const ExplorerRunStats& stats = explorer.last_run_stats();
   EXPECT_EQ(stats.shards_failed, 1u);
@@ -296,7 +296,7 @@ TEST(ShardedExplorerTest, StalePolicyWithFullCheckpointIsBitIdentical) {
   ShardedExplorer explorer(opts);
   auto table = explorer.ExploreOutcomes(w.dataset, w.outcomes);
   ASSERT_TRUE(table.ok()) << table.status().ToString();
-  EXPECT_EQ(SerializePatternTable(*table), reference);
+  EXPECT_EQ(TableBytes(*table), reference);
 
   const ExplorerRunStats& stats = explorer.last_run_stats();
   EXPECT_EQ(stats.shards_failed, 1u);
@@ -358,7 +358,7 @@ TEST(ShardedExplorerTest, CorruptCheckpointIsDiscardedAndRetried) {
   ShardedExplorer explorer(opts);
   auto table = explorer.ExploreOutcomes(w.dataset, w.outcomes);
   ASSERT_TRUE(table.ok()) << table.status().ToString();
-  EXPECT_EQ(SerializePatternTable(*table), reference);
+  EXPECT_EQ(TableBytes(*table), reference);
   // The corrupt snapshot cost shard 0 one attempt; the retry deleted
   // it and remined from scratch.
   EXPECT_GE(explorer.last_run_stats().retries_total, 1u);
@@ -376,7 +376,7 @@ TEST(ShardedExplorerTest, FingerprintCorruptionIsRetriedToExactness) {
   ShardedExplorer explorer(opts);
   auto table = explorer.ExploreOutcomes(w.dataset, w.outcomes);
   ASSERT_TRUE(table.ok()) << table.status().ToString();
-  EXPECT_EQ(SerializePatternTable(*table), reference);
+  EXPECT_EQ(TableBytes(*table), reference);
   EXPECT_GE(explorer.last_run_stats().retries_total, 1u);
 }
 

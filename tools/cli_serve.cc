@@ -204,8 +204,7 @@ std::string ServeUsageString() {
       "usage: divexp serve --table FILE [options]\n"
       "\n"
       "  --table FILE       pattern-table artifact (divexp\n"
-      "                     --save-artifact) or snapshot (--export-\n"
-      "                     snapshot); artifacts are mmapped zero-copy\n"
+      "                     --save-artifact), mmapped zero-copy\n"
       "  --socket PATH      listen on a unix socket instead of the\n"
       "                     stdin/stdout REPL; serves until stdin EOF\n"
       "  --threads N        server threads sharing the mapping\n"
@@ -241,8 +240,7 @@ Status RunServe(const ServeOptions& opts, std::istream& in,
                                                   validation));
   const serve::TableView& view = table.view();
   log << "serving " << (view.size() - 1) << " patterns from "
-      << opts.table_path << " ("
-      << (table.artifact != nullptr ? "mmap" : "eager") << " backing)\n";
+      << opts.table_path << " (mmap backing)\n";
 
   serve::QueryService service(&table, opts.service);
   if (opts.socket_path.empty()) {

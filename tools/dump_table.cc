@@ -1,5 +1,4 @@
-// Inspector for pattern-table serving artifacts (and, via the eager
-// fallback loader, pattern-table snapshots): prints the header, the
+// Inspector for pattern-table serving artifacts: prints the header, the
 // section table with per-section CRCs, the table fingerprint and the
 // top-k divergent rows — without ever deserializing the table.
 //
@@ -54,33 +53,24 @@ int Run(int argc, char** argv) {
   }
   const serve::TableView& view = table->view();
 
-  if (table->artifact != nullptr) {
-    const serve::ArtifactInfo& info = table->artifact->info();
-    std::printf("artifact: %s\n", path.c_str());
-    std::printf("  version:      %u\n", info.version);
-    std::printf("  file size:    %" PRIu64 " bytes\n", info.file_size);
-    std::printf("  fingerprint:  %016" PRIx64 "\n", info.fingerprint);
-    std::printf("  rows:         %" PRIu64 " (+ empty-itemset row)\n",
-                info.num_rows - 1);
-    std::printf("  dataset rows: %" PRIu64 "\n", info.num_dataset_rows);
-    std::printf("  global rate:  %.6f\n", info.global_rate);
-    std::printf("  sections:\n");
-    for (const serve::ArtifactSectionInfo& s : info.sections) {
-      std::printf("    %-12s off=%-10" PRIu64 " size=%-10" PRIu64
-                  " crc=%08x\n",
-                  serve::ArtifactSectionName(
-                      static_cast<serve::ArtifactSection>(s.id)),
-                  s.offset, s.size, s.crc);
-    }
-    if (verify) std::printf("  full validation: OK\n");
-  } else {
-    std::printf("snapshot (eager load): %s\n", path.c_str());
-    std::printf("  fingerprint:  %016" PRIx64 "\n", view.fingerprint);
-    std::printf("  rows:         %zu (+ empty-itemset row)\n",
-                view.size() - 1);
-    std::printf("  dataset rows: %" PRIu64 "\n", view.num_dataset_rows);
-    std::printf("  global rate:  %.6f\n", view.global_rate);
+  const serve::ArtifactInfo& info = table->artifact->info();
+  std::printf("artifact: %s\n", path.c_str());
+  std::printf("  version:      %u\n", info.version);
+  std::printf("  file size:    %" PRIu64 " bytes\n", info.file_size);
+  std::printf("  fingerprint:  %016" PRIx64 "\n", info.fingerprint);
+  std::printf("  rows:         %" PRIu64 " (+ empty-itemset row)\n",
+              info.num_rows - 1);
+  std::printf("  dataset rows: %" PRIu64 "\n", info.num_dataset_rows);
+  std::printf("  global rate:  %.6f\n", info.global_rate);
+  std::printf("  sections:\n");
+  for (const serve::ArtifactSectionInfo& s : info.sections) {
+    std::printf("    %-12s off=%-10" PRIu64 " size=%-10" PRIu64
+                " crc=%08x\n",
+                serve::ArtifactSectionName(
+                    static_cast<serve::ArtifactSection>(s.id)),
+                s.offset, s.size, s.crc);
   }
+  if (verify) std::printf("  full validation: OK\n");
 
   if (top == 0) return 0;
   serve::QueryEngine engine(&view);
