@@ -1,59 +1,10 @@
 #include "core/corrective.h"
 
-#include <algorithm>
-#include <cmath>
-
-#include "obs/stage.h"
-#include "obs/trace.h"
-
 namespace divexp {
 
 std::vector<CorrectiveItem> FindCorrectiveItems(
     const PatternTable& table, const CorrectiveOptions& options) {
-  obs::ScopedSpan span(obs::kStageCorrective);
-  std::vector<CorrectiveItem> out;
-  // Every frequent superset K = I ∪ {α} defines |K| candidate pairs
-  // (drop each item in turn); enumerating supersets guarantees both
-  // sides of the comparison are in the table. The base row I comes
-  // straight off the lattice links; an itemset is materialized only
-  // for the (rare) pairs that actually qualify.
-  for (size_t i = 0; i < table.size(); ++i) {
-    const PatternRow& row = table.row(i);
-    const Itemset& k = row.items;
-    if (k.empty()) continue;
-    const std::span<const uint32_t> links = table.SubsetLinks(i);
-    for (size_t j = 0; j < k.size(); ++j) {
-      const uint32_t link = links[j];
-      // kNoLink: subset dropped by a guard truncation — skip the pair.
-      if (link == PatternTable::kNoLink) continue;
-      const PatternRow& base_row = table.row(link);
-      if (base_row.items.empty()) continue;  // Δ(∅) = 0: nothing to correct
-      const double factor =
-          std::fabs(base_row.divergence) - std::fabs(row.divergence);
-      if (factor <= options.min_factor || factor <= 0.0) continue;
-      CorrectiveItem c;
-      c.base = base_row.items;
-      c.item = k[j];
-      c.base_divergence = base_row.divergence;
-      c.with_divergence = row.divergence;
-      c.factor = factor;
-      c.t = row.t;
-      out.push_back(std::move(c));
-    }
-  }
-  std::stable_sort(out.begin(), out.end(),
-                   [](const CorrectiveItem& a, const CorrectiveItem& b) {
-                     if (a.factor != b.factor) return a.factor > b.factor;
-                     if (a.base.size() != b.base.size()) {
-                       return a.base.size() < b.base.size();
-                     }
-                     if (a.base != b.base) return a.base < b.base;
-                     return a.item < b.item;
-                   });
-  if (options.top_k != 0 && out.size() > options.top_k) {
-    out.resize(options.top_k);
-  }
-  return out;
+  return ScanCorrectiveItems(table, options).value();
 }
 
 }  // namespace divexp

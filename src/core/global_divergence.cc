@@ -94,7 +94,7 @@ std::vector<GlobalItemDivergence> ComputeGlobalItemDivergence(
               fact[num_attrs] * DomainProduct(catalog, k);
           const long double weight =
               fact[b] * fact[num_attrs - b - 1] / denom;
-          const std::span<const uint32_t> links = table.SubsetLinks(i);
+          const std::span<const uint32_t> links = table.row_links(i);
           for (size_t j = 0; j < k.size(); ++j) {
             // kNoLink: the subset was dropped by a guard truncation —
             // skip the contribution (the reference path would abort).
@@ -146,7 +146,7 @@ Result<double> GlobalItemsetDivergence(const PatternTable& table,
       const auto pos = std::lower_bound(cur_items.begin(),
                                         cur_items.end(), alpha);
       DIVEXP_CHECK(pos != cur_items.end() && *pos == alpha);
-      const uint32_t link = table.SubsetLinks(
+      const uint32_t link = table.row_links(
           cur)[static_cast<size_t>(pos - cur_items.begin())];
       if (link == PatternTable::kNoLink) {
         resolved = false;  // guard-truncated table dropped the subset

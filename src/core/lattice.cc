@@ -1,65 +1,11 @@
 #include "core/lattice.h"
 
-#include <algorithm>
 #include <cmath>
 #include <sstream>
-#include <unordered_map>
 
 #include "util/string_util.h"
 
 namespace divexp {
-
-Result<Lattice> BuildLattice(const PatternTable& table,
-                             const Itemset& target) {
-  if (!table.Contains(target)) {
-    return Status::NotFound("target itemset not frequent: " +
-                            ItemsetDebugString(target));
-  }
-  Lattice lattice;
-  lattice.target = target;
-
-  std::vector<Itemset> subsets;
-  ForEachSubset(target, [&](const Itemset& s) { subsets.push_back(s); });
-  std::sort(subsets.begin(), subsets.end(),
-            [](const Itemset& a, const Itemset& b) {
-              if (a.size() != b.size()) return a.size() < b.size();
-              return a < b;
-            });
-
-  std::unordered_map<Itemset, size_t, ItemsetHash, ItemsetEq> node_index;
-  for (const Itemset& s : subsets) {
-    LatticeNode node;
-    node.items = s;
-    node.level = s.size();
-    const auto idx = table.Find(s);
-    if (idx.has_value()) {
-      node.divergence = table.row(*idx).divergence;
-      node.t = table.row(*idx).t;
-    } else {
-      node.frequent = false;  // unreachable for frequent targets
-    }
-    node_index.emplace(s, lattice.nodes.size());
-    lattice.nodes.push_back(std::move(node));
-  }
-
-  for (size_t i = 0; i < lattice.nodes.size(); ++i) {
-    LatticeNode& node = lattice.nodes[i];
-    if (node.items.empty()) continue;
-    for (size_t j = 0; j < node.items.size(); ++j) {
-      // Parent = items \ {items[j]}, looked up through the transparent
-      // hash without materializing the subset.
-      const auto it =
-          node_index.find(ItemsetSkipView{ItemSpan(node.items), j});
-      DIVEXP_CHECK(it != node_index.end());
-      lattice.edges.push_back(LatticeEdge{it->second, i});
-      const LatticeNode& parent_node = lattice.nodes[it->second];
-      if (std::fabs(node.divergence) < std::fabs(parent_node.divergence)) {
-        node.corrective = true;
-      }
-    }
-  }
-  return lattice;
-}
 
 namespace {
 

@@ -141,49 +141,13 @@ Result<double> PatternTable::Divergence(const Itemset& items) const {
   return rows_[*idx].divergence;
 }
 
-bool PatternTable::RankLess(size_t a, size_t b,
-                            const std::vector<double>& keys,
-                            bool descending) const {
-  if (keys[a] != keys[b]) {
-    return descending ? keys[a] > keys[b] : keys[a] < keys[b];
-  }
-  // Deterministic tie-break: higher support, then shorter, then items.
-  if (rows_[a].support != rows_[b].support) {
-    return rows_[a].support > rows_[b].support;
-  }
-  if (rows_[a].items.size() != rows_[b].items.size()) {
-    return rows_[a].items.size() < rows_[b].items.size();
-  }
-  return rows_[a].items < rows_[b].items;
-}
-
 std::vector<size_t> PatternTable::Rank(RankKey key,
                                        bool descending) const {
-  // One key per row, computed once: the comparator runs O(n log n)
-  // times and must not re-derive its operands per comparison.
-  std::vector<double> keys(rows_.size());
-  for (size_t i = 0; i < rows_.size(); ++i) {
-    switch (key) {
-      case RankKey::kDivergence:
-        keys[i] = rows_[i].divergence;
-        break;
-      case RankKey::kSignificance:
-        keys[i] = rows_[i].t;
-        break;
-      case RankKey::kSupport:
-        keys[i] = rows_[i].support;
-        break;
-    }
-  }
-  std::vector<size_t> order;
-  order.reserve(rows_.size());
-  for (size_t i = 0; i < rows_.size(); ++i) {
-    if (!rows_[i].items.empty()) order.push_back(i);
-  }
-  std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-    return RankLess(a, b, keys, descending);
-  });
-  return order;
+  TopKQuery query;
+  query.k = rows_.size();
+  query.key = key;
+  query.descending = descending;
+  return TopKRows(*this, query).value();
 }
 
 std::vector<size_t> PatternTable::RankByDivergence(bool descending) const {
@@ -193,52 +157,71 @@ std::vector<size_t> PatternTable::RankByDivergence(bool descending) const {
 std::vector<size_t> PatternTable::TopK(size_t k, bool descending,
                                        double min_support, size_t min_len,
                                        size_t max_len) const {
-  std::vector<double> keys(rows_.size());
-  std::vector<size_t> candidates;
-  for (size_t i = 0; i < rows_.size(); ++i) {
-    keys[i] = rows_[i].divergence;
-    const PatternRow& r = rows_[i];
-    if (r.items.empty()) continue;
-    if (r.support < min_support) continue;
-    if (r.items.size() < min_len) continue;
-    if (max_len != 0 && r.items.size() > max_len) continue;
-    candidates.push_back(i);
-  }
-  const auto cmp = [&](size_t a, size_t b) {
-    return RankLess(a, b, keys, descending);
-  };
-  // The comparator is a strict total order (the tie-break ends on the
-  // unique itemset), so a partial selection returns exactly the prefix
-  // a full stable sort would.
-  if (k < candidates.size()) {
-    std::partial_sort(candidates.begin(), candidates.begin() + k,
-                      candidates.end(), cmp);
-    candidates.resize(k);
-  } else {
-    std::sort(candidates.begin(), candidates.end(), cmp);
-  }
-  return candidates;
+  TopKQuery query;
+  query.k = k;
+  query.descending = descending;
+  query.min_support = min_support;
+  query.min_len = min_len;
+  query.max_len = max_len;
+  return TopKRows(*this, query).value();
 }
 
 std::string PatternTable::ItemsetName(const Itemset& items) const {
-  if (items.empty()) return "(all)";
-  std::string out;
-  for (size_t i = 0; i < items.size(); ++i) {
-    if (i) out += ", ";
-    out += catalog_.ItemName(items[i]);
-  }
-  return out;
+  return divexp::ItemsetName(catalog_, ItemSpan(items));
 }
 
 Result<Itemset> PatternTable::ParseItemset(
     const std::vector<std::pair<std::string, std::string>>& items) const {
+  return divexp::ParseItemset(catalog_, items);
+}
+
+std::string ItemName(const ItemCatalog& catalog, uint32_t item) {
+  if (item >= catalog.num_items()) {
+    return "<item " + std::to_string(item) + " outside catalog>";
+  }
+  return catalog.ItemName(item);
+}
+
+std::string ItemsetName(const ItemCatalog& catalog, ItemSpan items) {
+  if (items.empty()) return "(all)";
+  std::string out;
+  for (size_t i = 0; i < items.size(); ++i) {
+    if (i) out += ", ";
+    out += ItemName(catalog, items[i]);
+  }
+  return out;
+}
+
+Result<Itemset> ParseItemset(
+    const ItemCatalog& catalog,
+    const std::vector<std::pair<std::string, std::string>>& items) {
   std::vector<uint32_t> ids;
   ids.reserve(items.size());
   for (const auto& [attr, value] : items) {
-    DIVEXP_ASSIGN_OR_RETURN(uint32_t id, catalog_.FindItem(attr, value));
+    DIVEXP_ASSIGN_OR_RETURN(uint32_t id, catalog.FindItem(attr, value));
     ids.push_back(id);
   }
   return MakeItemset(std::move(ids));
 }
+
+namespace internal {
+
+Status GuardStopStatus(RunGuard* guard) {
+  const Status status = guard->ToStatus();
+  if (!status.ok()) return status;
+  // Tick() said stop but no breach latched yet (racy deadline read);
+  // report the generic form rather than OK.
+  return Status::DeadlineExceeded("query stopped by its run guard");
+}
+
+Status CorruptTableStatus(const std::string& what) {
+  // A header-tier artifact open defers payload CRCs, so offset/link
+  // corruption can first surface mid-analysis.
+  return Status::InvalidArgument(
+      "artifact payload corruption detected while serving (" + what +
+      "); reopen with full validation for a complete diagnosis");
+}
+
+}  // namespace internal
 
 }  // namespace divexp

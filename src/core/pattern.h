@@ -9,12 +9,33 @@
 // flat array. The divergence post-pass walks these integer links
 // instead of materializing temporary itemsets and re-hashing them (see
 // docs/performance.md).
+//
+// The read-side analyses (top-k here, lattice.h, shapley.h,
+// corrective.h, table_fingerprint.h) are function templates over a
+// *table read surface*, which PatternTable and the served artifact's
+// serve::TableView both provide under the same names:
+//
+//   size()                       rows, the empty itemset included
+//   row_items(i)                 ItemSpan of row i's itemset
+//   row_links(i)                 immediate-subset links (kNoLink holes)
+//   support(i) rate(i) divergence(i) t(i) counts(i)
+//   Find(ItemSpan)               row index of an itemset, if present
+//   row_ok(i)                    false only for a corrupt served row
+//
+// One body per analysis therefore answers both the in-memory table and
+// the mmap'd artifact. Offsets, links and item ids read off an artifact
+// opened with header-tier validation are untrusted, so the query
+// analyses check row_ok, link bounds and item ids and report corruption
+// as a clean InvalidArgument; on a PatternTable those checks never
+// fire. (The fingerprint runs only on fully validated views.)
 #ifndef DIVEXP_CORE_PATTERN_H_
 #define DIVEXP_CORE_PATTERN_H_
 
+#include <algorithm>
 #include <optional>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "data/encoder.h"
@@ -104,14 +125,23 @@ class PatternTable {
   /// Δ_f of a frequent itemset; error if not in the table.
   Result<double> Divergence(const Itemset& items) const;
 
+  // The table read surface (see the file comment).
+  ItemSpan row_items(size_t i) const { return ItemSpan(rows_[i].items); }
   /// Row indices of row i's immediate subsets, aligned with
-  /// row(i).items: SubsetLinks(i)[j] is the row of items \ {items[j]},
+  /// row_items(i): row_links(i)[j] is the row of items \ {items[j]},
   /// or kNoLink if that subset was dropped by a guard truncation. Empty
   /// span for the empty itemset.
-  std::span<const uint32_t> SubsetLinks(size_t i) const {
+  std::span<const uint32_t> row_links(size_t i) const {
     return std::span<const uint32_t>(subset_links_)
         .subspan(link_offsets_[i], link_offsets_[i + 1] - link_offsets_[i]);
   }
+  const OutcomeCounts& counts(size_t i) const { return rows_[i].counts; }
+  double support(size_t i) const { return rows_[i].support; }
+  double rate(size_t i) const { return rows_[i].rate; }
+  double divergence(size_t i) const { return rows_[i].divergence; }
+  double t(size_t i) const { return rows_[i].t; }
+  /// An in-memory table is consistent by construction.
+  bool row_ok(size_t) const { return true; }
 
   /// Sort key for ranking patterns (paper §5: itemsets can be ranked
   /// by significance, support or f-divergence).
@@ -120,6 +150,9 @@ class PatternTable {
     kSignificance,  ///< Welch t statistic
     kSupport,
   };
+
+  // Rank, RankByDivergence and TopK are TopKRows (below) with the
+  // matching TopKQuery.
 
   /// Row indices sorted by `key` (descending when `descending`),
   /// excluding the empty itemset. Ties break deterministically.
@@ -130,27 +163,17 @@ class PatternTable {
   std::vector<size_t> RankByDivergence(bool descending = true) const;
 
   /// Top-k rows by divergence with support >= min_support and length
-  /// within [min_len, max_len] (0 = unbounded max). Partial selection:
-  /// O(n + k log n) instead of a full sort for small k.
+  /// within [min_len, max_len] (0 = unbounded max).
   std::vector<size_t> TopK(size_t k, bool descending = true,
                            double min_support = 0.0, size_t min_len = 1,
                            size_t max_len = 0) const;
 
-  /// "attr1=v1, attr2=v2" rendering of an itemset.
+  /// ItemsetName / ParseItemset (below) over this table's catalog.
   std::string ItemsetName(const Itemset& items) const;
-
-  /// Resolves "attr=value" item descriptions into an itemset.
   Result<Itemset> ParseItemset(
       const std::vector<std::pair<std::string, std::string>>& items) const;
 
  private:
-  /// Comparator shared by Rank and TopK: orders row indices by a
-  /// precomputed key vector with the deterministic tie-break chain
-  /// (higher support, then shorter, then items). Total order, so
-  /// unstable sorts produce the same permutation as stable ones.
-  bool RankLess(size_t a, size_t b, const std::vector<double>& keys,
-                bool descending) const;
-
   std::vector<PatternRow> rows_;
   std::unordered_map<Itemset, size_t, ItemsetHash, ItemsetEq> index_;
   /// Flat immediate-subset links; row i owns
@@ -163,6 +186,109 @@ class PatternTable {
   double global_mean_ = 0.0;      // Beta posterior mean of f(D)
   double global_variance_ = 0.0;  // Beta posterior variance of f(D)
 };
+
+/// A top-k ranking request over the paper's three ranking keys (§5).
+struct TopKQuery {
+  size_t k = 10;
+  PatternTable::RankKey key = PatternTable::RankKey::kDivergence;
+  bool descending = true;
+  double min_support = 0.0;
+  size_t min_len = 1;
+  size_t max_len = 0;  ///< 0 = unbounded
+};
+
+/// "attr=value" for one item. An id outside the catalog — possible only
+/// on a corrupted served artifact — renders as a placeholder instead of
+/// tripping the catalog's bounds CHECK.
+std::string ItemName(const ItemCatalog& catalog, uint32_t item);
+
+/// "attr1=v1, attr2=v2" rendering ("(all)" for the empty itemset).
+std::string ItemsetName(const ItemCatalog& catalog, ItemSpan items);
+
+/// Resolves "attr=value" item descriptions into a canonical itemset.
+Result<Itemset> ParseItemset(
+    const ItemCatalog& catalog,
+    const std::vector<std::pair<std::string, std::string>>& items);
+
+namespace internal {
+
+/// The Status of an analysis its RunGuard stopped.
+Status GuardStopStatus(RunGuard* guard);
+
+/// InvalidArgument for a served row whose offsets or links are corrupt.
+Status CorruptTableStatus(const std::string& what);
+
+/// The per-row scans (top-k, corrective) tick their guard once per this
+/// many rows, starting at row 0: RunGuard::Tick is an atomic
+/// read-modify-write, which costs more than the rest of a top-k row.
+inline constexpr size_t kRowsPerTick = 64;
+
+}  // namespace internal
+
+/// Row indices of the top-k rows of any table read surface by
+/// `query.key`, excluding the empty itemset, filtered by support and
+/// length. Ties break on higher support, then shorter itemset, then
+/// lexicographic items: a strict total order (itemsets are unique), so
+/// the partial selection returns exactly the prefix a full stable sort
+/// would. Fails only when `guard` stops the scan or a served row is
+/// corrupt.
+template <typename Table>
+Result<std::vector<size_t>> TopKRows(const Table& table,
+                                     const TopKQuery& query,
+                                     RunGuard* guard = nullptr) {
+  // One key per row, computed once: the comparator runs O(n log k)
+  // times and must not re-derive its operands per comparison.
+  std::vector<double> keys(table.size());
+  std::vector<size_t> candidates;
+  for (size_t i = 0; i < table.size(); ++i) {
+    if (guard != nullptr && i % internal::kRowsPerTick == 0 &&
+        !guard->Tick()) {
+      return internal::GuardStopStatus(guard);
+    }
+    if (!table.row_ok(i)) {
+      return internal::CorruptTableStatus("row " + std::to_string(i) +
+                                          " has out-of-range offsets");
+    }
+    switch (query.key) {
+      case PatternTable::RankKey::kDivergence:
+        keys[i] = table.divergence(i);
+        break;
+      case PatternTable::RankKey::kSignificance:
+        keys[i] = table.t(i);
+        break;
+      case PatternTable::RankKey::kSupport:
+        keys[i] = table.support(i);
+        break;
+    }
+    const size_t len = table.row_items(i).size();
+    if (len == 0) continue;
+    if (table.support(i) < query.min_support) continue;
+    if (len < query.min_len) continue;
+    if (query.max_len != 0 && len > query.max_len) continue;
+    candidates.push_back(i);
+  }
+  const auto less = [&](size_t a, size_t b) {
+    if (keys[a] != keys[b]) {
+      return query.descending ? keys[a] > keys[b] : keys[a] < keys[b];
+    }
+    if (table.support(a) != table.support(b)) {
+      return table.support(a) > table.support(b);
+    }
+    const ItemSpan ia = table.row_items(a);
+    const ItemSpan ib = table.row_items(b);
+    if (ia.size() != ib.size()) return ia.size() < ib.size();
+    return std::lexicographical_compare(ia.begin(), ia.end(), ib.begin(),
+                                        ib.end());
+  };
+  if (query.k < candidates.size()) {
+    std::partial_sort(candidates.begin(), candidates.begin() + query.k,
+                      candidates.end(), less);
+    candidates.resize(query.k);
+  } else {
+    std::sort(candidates.begin(), candidates.end(), less);
+  }
+  return candidates;
+}
 
 }  // namespace divexp
 

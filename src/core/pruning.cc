@@ -15,7 +15,7 @@ std::vector<size_t> RedundancyPrune(const PatternTable& table,
   for (size_t i = 0; i < table.size(); ++i) {
     const PatternRow& row = table.row(i);
     if (row.items.empty()) continue;
-    const std::span<const uint32_t> links = table.SubsetLinks(i);
+    const std::span<const uint32_t> links = table.row_links(i);
     bool redundant = false;
     for (uint32_t link : links) {
       // kNoLink: subset dropped by a guard truncation — the comparison

@@ -119,14 +119,9 @@ Result<PatternTable> ReadPatternTableCsv(const std::string& text,
     const std::string cell = itemset_col.type() == ColumnType::kString
                                  ? itemset_col.strings()[r]
                                  : itemset_col.ValueString(r);
-    std::vector<uint32_t> ids;
-    for (const auto& [attr, value] : parse_items(cell)) {
-      DIVEXP_ASSIGN_OR_RETURN(uint32_t id,
-                              catalog.FindItem(attr, value));
-      ids.push_back(id);
-    }
     MinedPattern p;
-    p.items = MakeItemset(std::move(ids));
+    DIVEXP_ASSIGN_OR_RETURN(p.items,
+                            ParseItemset(catalog, parse_items(cell)));
     p.counts = OutcomeCounts{count_at("t_count", r),
                              count_at("f_count", r),
                              count_at("bot_count", r)};

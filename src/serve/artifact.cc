@@ -9,6 +9,7 @@
 #include <cstring>
 #include <utility>
 
+#include "core/table_fingerprint.h"
 #include "obs/metrics.h"
 #include "recovery/atomic_file.h"
 #include "recovery/crc32.h"
@@ -17,55 +18,6 @@
 namespace divexp {
 namespace serve {
 namespace {
-
-constexpr uint64_t kFnvOffset = 0xcbf29ce484222325ull;
-constexpr uint64_t kFnvPrime = 0x100000001b3ull;
-
-uint64_t FnvMix(uint64_t hash, uint64_t v) {
-  for (size_t i = 0; i < 8; ++i) {
-    hash ^= (v >> (8 * i)) & 0xFF;
-    hash *= kFnvPrime;
-  }
-  return hash;
-}
-
-uint64_t FnvMixBytes(uint64_t hash, std::string_view bytes) {
-  hash = FnvMix(hash, bytes.size());
-  for (const char c : bytes) {
-    hash ^= static_cast<uint8_t>(c);
-    hash *= kFnvPrime;
-  }
-  return hash;
-}
-
-uint64_t DoubleBits(double v) {
-  uint64_t bits = 0;
-  std::memcpy(&bits, &v, sizeof(bits));
-  return bits;
-}
-
-uint64_t FingerprintCatalog(uint64_t hash, const ItemCatalog& catalog) {
-  hash = FnvMix(hash, catalog.num_attributes());
-  for (uint32_t a = 0; a < catalog.num_attributes(); ++a) {
-    hash = FnvMixBytes(hash, catalog.attribute_name(a));
-    const uint32_t domain = catalog.domain_size(a);
-    const uint32_t first = catalog.first_item(a);
-    hash = FnvMix(hash, domain);
-    for (uint32_t j = 0; j < domain; ++j) {
-      hash = FnvMixBytes(hash, catalog.item(first + j).value);
-    }
-  }
-  return hash;
-}
-
-uint64_t FingerprintGlobals(uint64_t hash, uint64_t num_dataset_rows,
-                            double rate, double mean, double variance) {
-  hash = FnvMix(hash, num_dataset_rows);
-  hash = FnvMix(hash, DoubleBits(rate));
-  hash = FnvMix(hash, DoubleBits(mean));
-  hash = FnvMix(hash, DoubleBits(variance));
-  return hash;
-}
 
 size_t AlignUp(size_t n) {
   return (n + kArtifactAlignment - 1) & ~(kArtifactAlignment - 1);
@@ -193,47 +145,10 @@ const char* ArtifactSectionName(ArtifactSection id) {
 }
 
 uint64_t TableFingerprint(const PatternTable& table) {
-  uint64_t hash = kFnvOffset;
-  hash = FingerprintCatalog(hash, table.catalog());
-  hash = FingerprintGlobals(hash, table.num_dataset_rows(),
-                            table.global_rate(), table.global_mean(),
-                            table.global_variance());
-  hash = FnvMix(hash, table.size());
-  for (size_t i = 0; i < table.size(); ++i) {
-    const PatternRow& row = table.row(i);
-    hash = FnvMix(hash, row.items.size());
-    for (const uint32_t item : row.items) hash = FnvMix(hash, item);
-    hash = FnvMix(hash, row.counts.t);
-    hash = FnvMix(hash, row.counts.f);
-    hash = FnvMix(hash, row.counts.bot);
-    hash = FnvMix(hash, DoubleBits(row.support));
-    hash = FnvMix(hash, DoubleBits(row.rate));
-    hash = FnvMix(hash, DoubleBits(row.divergence));
-    hash = FnvMix(hash, DoubleBits(row.t));
-  }
-  return hash;
-}
-
-uint64_t TableFingerprint(const TableView& view) {
-  uint64_t hash = kFnvOffset;
-  hash = FingerprintCatalog(hash, *view.catalog);
-  hash = FingerprintGlobals(hash, view.num_dataset_rows,
-                            view.global_rate, view.global_mean,
-                            view.global_variance);
-  hash = FnvMix(hash, view.size());
-  for (size_t i = 0; i < view.size(); ++i) {
-    const ItemSpan items = view.row_items(i);
-    hash = FnvMix(hash, items.size());
-    for (const uint32_t item : items) hash = FnvMix(hash, item);
-    hash = FnvMix(hash, view.tally_t(i));
-    hash = FnvMix(hash, view.tally_f(i));
-    hash = FnvMix(hash, view.tally_bot(i));
-    hash = FnvMix(hash, DoubleBits(view.support(i)));
-    hash = FnvMix(hash, DoubleBits(view.rate(i)));
-    hash = FnvMix(hash, DoubleBits(view.divergence(i)));
-    hash = FnvMix(hash, DoubleBits(view.t(i)));
-  }
-  return hash;
+  return divexp::TableFingerprint(table, table.catalog(),
+                                  table.num_dataset_rows(),
+                                  table.global_rate(), table.global_mean(),
+                                  table.global_variance());
 }
 
 Result<std::string> SerializePatternTableArtifact(const PatternTable& table) {
@@ -266,7 +181,7 @@ Result<std::string> SerializePatternTableArtifact(const PatternTable& table) {
     stats.push_back(row.rate);
     stats.push_back(row.divergence);
     stats.push_back(row.t);
-    const std::span<const uint32_t> links = table.SubsetLinks(i);
+    const std::span<const uint32_t> links = table.row_links(i);
     subset_links.insert(subset_links.end(), links.begin(), links.end());
     link_offsets[i + 1] = link_offsets[i] + links.size();
   }
@@ -511,8 +426,8 @@ Status PatternTableArtifact::Attach(ArtifactValidation validation) {
   // Endpoint checks are O(1); interior offset entries are only proven
   // monotone in the full tier. A header-tier open therefore hands out a
   // view whose interior offsets are untrusted — TableView's accessors
-  // clamp every span and the query engine's row_ok/link checks turn
-  // interior corruption into clean errors (see serve/query.h).
+  // clamp every span and the core analyses' row_ok/link checks turn
+  // interior corruption into clean errors (see core/pattern.h).
   if (view_.item_offsets.front() != 0 ||
       view_.item_offsets.back() != total_items) {
     return SectionError(sec_ioff.id,
@@ -600,7 +515,9 @@ Status PatternTableArtifact::ValidateFully() const {
           " points past the last row");
     }
   }
-  const uint64_t recomputed = TableFingerprint(view_);
+  const uint64_t recomputed = divexp::TableFingerprint(
+      view_, *view_.catalog, view_.num_dataset_rows, view_.global_rate,
+      view_.global_mean, view_.global_variance);
   if (recomputed != info_.fingerprint) {
     return Status::InvalidArgument(
         "artifact fingerprint mismatch: header says " +

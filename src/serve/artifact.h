@@ -49,7 +49,7 @@
 // fingerprint recompute). Envelope corruption is rejected by both tiers
 // at open. Payload corruption (section bytes) is rejected at open only
 // by kFull; a kHeader open may attach to it, but serving stays safe —
-// TableView clamps every row span and the query engine validates
+// TableView clamps every row span and the core analyses validate
 // offsets, link values, and item ids per row, so detected corruption
 // becomes a clean Status and undetected corruption at worst a wrong
 // value, never UB (fuzzed at both tiers in
@@ -112,11 +112,9 @@ struct ArtifactInfo {
   std::vector<ArtifactSectionInfo> sections;
 };
 
-/// FNV-1a fingerprint of the *logical* table content: catalog, dataset
-/// row count, global stats, and every row's (items, tallies, stats).
-/// Subset links are derived state and excluded.
+/// core/table_fingerprint.h's TableFingerprint of an in-memory table:
+/// the value an artifact written from it carries in its header.
 uint64_t TableFingerprint(const PatternTable& table);
-uint64_t TableFingerprint(const TableView& view);
 
 /// Serializes `table` into artifact bytes. Rows must be in canonical
 /// order with the empty itemset first (the explorer's SortPatterns

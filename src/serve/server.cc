@@ -15,6 +15,9 @@
 #include <sstream>
 #include <utility>
 
+#include "core/corrective.h"
+#include "core/lattice.h"
+#include "core/shapley.h"
 #include "obs/json.h"
 #include "obs/metrics.h"
 #include "util/stopwatch.h"
@@ -96,7 +99,6 @@ struct QueryService::Request {
 QueryService::QueryService(const ServingTable* table,
                            const QueryServiceOptions& options)
     : table_(table),
-      engine_(&table->view()),
       options_(options),
       cache_(options.cache),
       fingerprint_prefix_(HexU64(table->view().fingerprint) + " ") {
@@ -171,7 +173,8 @@ std::string QueryService::HandleLine(const std::string& line) {
       }
       pairs.emplace_back(part.substr(0, eq), part.substr(eq + 1));
     }
-    DIVEXP_ASSIGN_OR_RETURN(request.items, engine_.ParseItemset(pairs));
+    DIVEXP_ASSIGN_OR_RETURN(request.items,
+                            ParseItemset(*table_->view().catalog, pairs));
     // Canonical itemset spelling: sorted, de-duplicated item ids.
     canonical += " items=";
     for (size_t i = 0; i < request.items.size(); ++i) {
@@ -337,7 +340,7 @@ std::string QueryService::Execute(const Request& request, bool* ok) {
   *ok = false;
 
   if (request.verb == "topk") {
-    Result<std::vector<size_t>> rows = engine_.TopK(request.topk, &guard);
+    Result<std::vector<size_t>> rows = TopKRows(view, request.topk, &guard);
     if (!rows.ok()) {
       error_counter_->Add(1);
       return ErrorJson(rows.status());
@@ -347,7 +350,7 @@ std::string QueryService::Execute(const Request& request, bool* ok) {
     for (const size_t i : rows.value()) {
       json.BeginObject()
           .Key("items")
-          .Value(engine_.ItemsetName(view.row_items(i)))
+          .Value(ItemsetName(*view.catalog, view.row_items(i)))
           .Key("support")
           .Value(view.support(i))
           .Key("rate")
@@ -363,7 +366,7 @@ std::string QueryService::Execute(const Request& request, bool* ok) {
   }
 
   if (request.verb == "browse") {
-    Result<Lattice> lattice = engine_.Browse(request.items, &guard);
+    Result<Lattice> lattice = BuildLattice(view, request.items, &guard);
     if (!lattice.ok()) {
       error_counter_->Add(1);
       return ErrorJson(lattice.status());
@@ -373,13 +376,13 @@ std::string QueryService::Execute(const Request& request, bool* ok) {
         .Key("ok")
         .Value(true)
         .Key("target")
-        .Value(engine_.ItemsetName(ItemSpan(lattice.value().target)))
+        .Value(ItemsetName(*view.catalog, ItemSpan(lattice.value().target)))
         .Key("nodes")
         .BeginArray();
     for (const LatticeNode& node : lattice.value().nodes) {
       json.BeginObject()
           .Key("items")
-          .Value(engine_.ItemsetName(ItemSpan(node.items)))
+          .Value(ItemsetName(*view.catalog, ItemSpan(node.items)))
           .Key("level")
           .Value(static_cast<uint64_t>(node.level))
           .Key("divergence")
@@ -405,7 +408,7 @@ std::string QueryService::Execute(const Request& request, bool* ok) {
 
   if (request.verb == "shapley") {
     Result<std::vector<ItemContribution>> contribs =
-        engine_.Shapley(request.items, &guard);
+        ShapleyContributions(view, request.items, &guard);
     if (!contribs.ok()) {
       error_counter_->Add(1);
       return ErrorJson(contribs.status());
@@ -415,13 +418,13 @@ std::string QueryService::Execute(const Request& request, bool* ok) {
         .Key("ok")
         .Value(true)
         .Key("items")
-        .Value(engine_.ItemsetName(ItemSpan(request.items)))
+        .Value(ItemsetName(*view.catalog, ItemSpan(request.items)))
         .Key("contributions")
         .BeginArray();
     for (const ItemContribution& c : contribs.value()) {
       json.BeginObject()
           .Key("item")
-          .Value(engine_.ItemName(c.item))
+          .Value(ItemName(*view.catalog, c.item))
           .Key("contribution")
           .Value(c.contribution)
           .EndObject();
@@ -432,7 +435,7 @@ std::string QueryService::Execute(const Request& request, bool* ok) {
 
   if (request.verb == "corrective") {
     Result<std::vector<CorrectiveItem>> pairs =
-        engine_.Corrective(request.corrective, &guard);
+        ScanCorrectiveItems(view, request.corrective, &guard);
     if (!pairs.ok()) {
       error_counter_->Add(1);
       return ErrorJson(pairs.status());
@@ -442,9 +445,9 @@ std::string QueryService::Execute(const Request& request, bool* ok) {
     for (const CorrectiveItem& c : pairs.value()) {
       json.BeginObject()
           .Key("base")
-          .Value(engine_.ItemsetName(ItemSpan(c.base)))
+          .Value(ItemsetName(*view.catalog, ItemSpan(c.base)))
           .Key("item")
-          .Value(engine_.ItemName(c.item))
+          .Value(ItemName(*view.catalog, c.item))
           .Key("base_divergence")
           .Value(c.base_divergence)
           .Key("with_divergence")

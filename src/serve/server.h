@@ -1,5 +1,7 @@
-// The serving front end: a line protocol over the query engine, with
-// per-query RunGuard budgets and the sharded result cache.
+// The serving front end: a line protocol over the core table analyses
+// (top-k, lattice, Shapley, corrective; core/pattern.h), run on the
+// artifact's TableView with per-query RunGuard budgets and the sharded
+// result cache.
 //
 // Protocol (one request per line, one JSON object per response line):
 //
@@ -35,7 +37,6 @@
 
 #include "serve/artifact.h"
 #include "serve/cache.h"
-#include "serve/query.h"
 #include "util/mutex.h"
 #include "util/run_guard.h"
 #include "util/status.h"
@@ -73,7 +74,6 @@ class QueryService {
   /// returns an empty string. Thread-safe.
   std::string HandleLine(const std::string& line);
 
-  const QueryEngine& engine() const { return engine_; }
   ResultCache& cache() { return cache_; }
 
  private:
@@ -89,7 +89,6 @@ class QueryService {
   void RecordLatency(const std::string& verb, const Stopwatch& timer);
 
   const ServingTable* table_;
-  QueryEngine engine_;
   QueryServiceOptions options_;
   ResultCache cache_;
   std::string fingerprint_prefix_;

@@ -5,9 +5,13 @@
 //
 // Rows are in *canonical order* (ascending itemset length, then
 // lexicographic items — the order SortPatterns establishes before
-// PatternTable::Create), which is what makes FindRow a binary search
+// PatternTable::Create), which is what makes Find a binary search
 // instead of a hash probe: the artifact needs no side index, so opening
 // it deserializes nothing.
+//
+// A TableView provides the table read surface of core/pattern.h under
+// the same names as PatternTable, so the core analyses (top-k, lattice,
+// Shapley, corrective, fingerprint) run on it directly.
 #ifndef DIVEXP_SERVE_TABLE_VIEW_H_
 #define DIVEXP_SERVE_TABLE_VIEW_H_
 
@@ -18,6 +22,7 @@
 
 #include "data/encoder.h"
 #include "fpm/itemset.h"
+#include "fpm/transactions.h"
 
 namespace divexp {
 namespace serve {
@@ -50,7 +55,7 @@ struct TableView {
   double global_rate = 0.0;
   double global_mean = 0.0;
   double global_variance = 0.0;
-  /// Logical-content fingerprint (serve::TableFingerprint); the cache
+  /// Logical-content fingerprint (core/table_fingerprint.h); the cache
   /// keys results under it so two artifacts of the same table share hits.
   uint64_t fingerprint = 0;
 
@@ -61,7 +66,7 @@ struct TableView {
   // The row-span accessors clamp both offsets into the backing column:
   // a header-tier artifact open defers the payload CRCs, so a corrupted
   // offset entry must degrade to an empty/truncated span — never an
-  // out-of-range subspan. The query paths call row_ok() to turn such
+  // out-of-range subspan. The core analyses call row_ok() to turn such
   // corruption into a clean Status instead of a silently wrong answer.
   ItemSpan row_items(size_t i) const {
     const uint64_t limit = items.size();
@@ -91,9 +96,10 @@ struct TableView {
            le <= subset_links.size() && ie - ib == le - lb;
   }
 
-  uint64_t tally_t(size_t i) const { return tallies[3 * i]; }
-  uint64_t tally_f(size_t i) const { return tallies[3 * i + 1]; }
-  uint64_t tally_bot(size_t i) const { return tallies[3 * i + 2]; }
+  OutcomeCounts counts(size_t i) const {
+    return OutcomeCounts{tallies[3 * i], tallies[3 * i + 1],
+                         tallies[3 * i + 2]};
+  }
 
   double support(size_t i) const { return stats[4 * i + kStatSupport]; }
   double rate(size_t i) const { return stats[4 * i + kStatRate]; }
@@ -113,7 +119,7 @@ struct TableView {
 
   /// Row index of an itemset via binary search over the canonical
   /// order; O(log n * |q|), no allocation, no side index.
-  std::optional<size_t> FindRow(ItemSpan q) const {
+  std::optional<size_t> Find(ItemSpan q) const {
     size_t lo = 0;
     size_t hi = size();
     while (lo < hi) {

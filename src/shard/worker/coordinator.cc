@@ -127,9 +127,7 @@ Status ReconstructPatterns(const std::string& path,
     MinedPattern p;
     const ItemSpan items = view.row_items(i);
     p.items.assign(items.begin(), items.end());
-    p.counts.t = view.tally_t(i);
-    p.counts.f = view.tally_f(i);
-    p.counts.bot = view.tally_bot(i);
+    p.counts = view.counts(i);
     patterns->push_back(std::move(p));
   }
   return Status::OK();

@@ -1,10 +1,10 @@
 #include "shard/worker/worker.h"
 
+#include <charconv>
 #include <chrono>
 #include <condition_variable>
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -152,7 +152,17 @@ int ShardWorkerMain(const std::vector<std::string>& args) {
     if (arg.rfind("--spec=", 0) == 0) {
       spec_path = arg.substr(7);
     } else if (arg.rfind("--status-fd=", 0) == 0) {
-      status_fd = std::atoi(arg.c_str() + 12);
+      // Strict: "abc" must be rejected, not read as fd 0 (stdin).
+      const char* first = arg.c_str() + 12;
+      const char* last = arg.c_str() + arg.size();
+      const auto [end, ec] = std::from_chars(first, last, status_fd);
+      if (first == last || ec != std::errc() || end != last) {
+        std::fprintf(stderr,
+                     "divexp shard-worker: bad value for --status-fd: "
+                     "'%s'\n",
+                     first);
+        return 2;
+      }
     } else {
       std::fprintf(stderr,
                    "divexp shard-worker: unknown argument '%s'\n",

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "testing/test_explore.h"
@@ -10,6 +11,7 @@ namespace divexp {
 namespace {
 
 using testing::ExploreForTest;
+using testing::RandomTableForTest;
 
 // a0=v1 is strongly divergent; adding a1=v1 pulls the rate back to the
 // overall level — a1=v1 is a corrective item for {a0=v1} (Def. 4.2).
@@ -104,6 +106,74 @@ TEST(CorrectiveTest, NoCorrectiveItemsInMonotoneData) {
     ADD_FAILURE() << "unexpected corrective pair: "
                   << table.ItemsetName(c.base) << " + "
                   << table.catalog().ItemName(c.item);
+  }
+}
+
+TEST(CorrectiveTest, MatchesPairwiseDefinition) {
+  // Def. 4.2 from scratch: every (I, I ∪ {α}) pair of table rows, found
+  // by looking I ∪ {α} up for every catalog item α ∉ I (no subset
+  // links), is corrective when |Δ(I)| − |Δ(I ∪ {α})| exceeds the
+  // threshold. Ranking: factor descending, then shorter base, then base
+  // items, then α — a total order, so a full sort is the reference.
+  for (uint64_t seed : {31u, 32u, 33u}) {
+    const PatternTable table =
+        RandomTableForTest(seed, /*rows=*/200, /*attrs=*/4, /*domain=*/3);
+    for (const double min_factor : {0.0, 0.02}) {
+      std::vector<CorrectiveItem> expected;
+      for (size_t i = 0; i < table.size(); ++i) {
+        const PatternRow& base = table.row(i);
+        for (uint32_t alpha = 0; alpha < table.catalog().num_items();
+             ++alpha) {
+          if (std::binary_search(base.items.begin(), base.items.end(),
+                                 alpha)) {
+            continue;
+          }
+          Itemset with = base.items;
+          with.insert(std::upper_bound(with.begin(), with.end(), alpha),
+                      alpha);
+          const auto row = table.Find(with);
+          if (!row.has_value()) continue;
+          const PatternRow& superset = table.row(*row);
+          const double factor = std::fabs(base.divergence) -
+                                std::fabs(superset.divergence);
+          if (factor <= 0.0 || factor <= min_factor) continue;
+          expected.push_back(CorrectiveItem{base.items, alpha,
+                                            base.divergence,
+                                            superset.divergence, factor,
+                                            superset.t});
+        }
+      }
+      std::sort(expected.begin(), expected.end(),
+                [](const CorrectiveItem& a, const CorrectiveItem& b) {
+                  if (a.factor != b.factor) return a.factor > b.factor;
+                  if (a.base.size() != b.base.size()) {
+                    return a.base.size() < b.base.size();
+                  }
+                  if (a.base != b.base) return a.base < b.base;
+                  return a.item < b.item;
+                });
+      ASSERT_GT(expected.size(), 10u) << "seed " << seed;
+
+      for (const size_t top_k : {size_t{0}, size_t{7}}) {
+        CorrectiveOptions options;
+        options.min_factor = min_factor;
+        options.top_k = top_k;
+        const std::vector<CorrectiveItem> got =
+            FindCorrectiveItems(table, options);
+        const size_t want =
+            top_k == 0 ? expected.size() : std::min(top_k, expected.size());
+        ASSERT_EQ(got.size(), want)
+            << "seed " << seed << " min_factor " << min_factor;
+        for (size_t j = 0; j < got.size(); ++j) {
+          EXPECT_EQ(got[j].base, expected[j].base) << j;
+          EXPECT_EQ(got[j].item, expected[j].item) << j;
+          EXPECT_EQ(got[j].base_divergence, expected[j].base_divergence);
+          EXPECT_EQ(got[j].with_divergence, expected[j].with_divergence);
+          EXPECT_EQ(got[j].factor, expected[j].factor);
+          EXPECT_EQ(got[j].t, expected[j].t);
+        }
+      }
+    }
   }
 }
 

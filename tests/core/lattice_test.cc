@@ -10,6 +10,7 @@ namespace divexp {
 namespace {
 
 using testing::ExploreForTest;
+using testing::LongItemsetTable;
 
 PatternTable MakeTable() {
   // Three binary attributes with a divergent a0=v1 branch corrected by
@@ -161,6 +162,19 @@ TEST(LatticeRenderTest, ThresholdNanDisablesHighlighting) {
   opts.divergence_threshold = std::nan("");
   const std::string ascii = LatticeToAscii(*lattice, table, opts);
   EXPECT_EQ(ascii.find("[DIVERGENT]"), std::string::npos);
+}
+
+TEST(LatticeTest, RejectsTargetsBeyondTheSubsetCap) {
+  // A 26-item target has 2^26 subsets; the lattice must refuse it with
+  // a clean error instead of reaching ForEachSubset's 25-item CHECK.
+  const PatternTable table = LongItemsetTable(26);
+  const Itemset& target = table.row(1).items;
+  auto lattice = BuildLattice(table, target);
+  ASSERT_FALSE(lattice.ok());
+  EXPECT_EQ(lattice.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(lattice.status().message().find("at most 24"),
+            std::string::npos)
+      << lattice.status().ToString();
 }
 
 }  // namespace

@@ -11,6 +11,7 @@ namespace divexp {
 namespace {
 
 using testing::ExploreForTest;
+using testing::RandomTableForTest;
 
 // 2 binary attributes, 8 rows. Outcomes chosen so that a0=v1 has a
 // higher positive rate than the dataset.
@@ -144,7 +145,7 @@ TEST(PatternTableTest, SubsetLinksResolveImmediateSubsets) {
   const PatternTable table = MakeSmallTable();
   for (size_t i = 0; i < table.size(); ++i) {
     const Itemset& items = table.row(i).items;
-    const auto links = table.SubsetLinks(i);
+    const auto links = table.row_links(i);
     ASSERT_EQ(links.size(), items.size());
     for (size_t j = 0; j < items.size(); ++j) {
       // Complete exploration: every immediate subset is present.
@@ -203,6 +204,79 @@ TEST(PatternTableTest, SignificanceGrowsWithSampleSize) {
   const double t_small = small.row(*small.Find(Itemset{0})).t;
   const double t_big = big.row(*big.Find(Itemset{0})).t;
   EXPECT_GT(t_big, t_small);
+}
+
+TEST(PatternTableTest, TopKMatchesFullStableSortDefinition) {
+  // The documented order from scratch: every row stably sorted by the
+  // key (in the requested direction), ties broken by higher support,
+  // then shorter itemset, then lexicographic items; the empty itemset
+  // and rows outside the support/length filters dropped; first k kept.
+  using RankKey = PatternTable::RankKey;
+  for (uint64_t seed : {41u, 42u}) {
+    const PatternTable table =
+        RandomTableForTest(seed, /*rows=*/150, /*attrs=*/4, /*domain=*/3);
+    for (const RankKey key :
+         {RankKey::kDivergence, RankKey::kSignificance, RankKey::kSupport}) {
+      const auto key_of = [&](const PatternRow& r) {
+        return key == RankKey::kDivergence     ? r.divergence
+               : key == RankKey::kSignificance ? r.t
+                                               : r.support;
+      };
+      for (const bool descending : {true, false}) {
+        std::vector<size_t> all(table.size());
+        for (size_t i = 0; i < all.size(); ++i) all[i] = i;
+        std::stable_sort(all.begin(), all.end(), [&](size_t a, size_t b) {
+          const PatternRow& ra = table.row(a);
+          const PatternRow& rb = table.row(b);
+          if (key_of(ra) != key_of(rb)) {
+            return descending ? key_of(ra) > key_of(rb)
+                              : key_of(ra) < key_of(rb);
+          }
+          if (ra.support != rb.support) return ra.support > rb.support;
+          if (ra.items.size() != rb.items.size()) {
+            return ra.items.size() < rb.items.size();
+          }
+          return ra.items < rb.items;
+        });
+        for (const double min_support : {0.0, 0.05}) {
+          for (const size_t max_len : {size_t{0}, size_t{2}}) {
+            std::vector<size_t> filtered;
+            for (const size_t i : all) {
+              const PatternRow& r = table.row(i);
+              if (r.items.empty() || r.support < min_support) continue;
+              if (max_len != 0 && r.items.size() > max_len) continue;
+              filtered.push_back(i);
+            }
+            for (const size_t k : {size_t{1}, size_t{9}, table.size()}) {
+              TopKQuery query;
+              query.k = k;
+              query.key = key;
+              query.descending = descending;
+              query.min_support = min_support;
+              query.max_len = max_len;
+              const std::vector<size_t> want(
+                  filtered.begin(),
+                  filtered.begin() + std::min(k, filtered.size()));
+              auto got = TopKRows(table, query);
+              ASSERT_TRUE(got.ok());
+              EXPECT_EQ(*got, want)
+                  << "key " << static_cast<int>(key) << " desc "
+                  << descending << " min_support " << min_support
+                  << " max_len " << max_len << " k " << k;
+              if (key == RankKey::kDivergence) {
+                EXPECT_EQ(table.TopK(k, descending, min_support, 1,
+                                     max_len),
+                          want);
+              }
+            }
+            if (min_support == 0.0 && max_len == 0) {
+              EXPECT_EQ(table.Rank(key, descending), filtered);
+            }
+          }
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

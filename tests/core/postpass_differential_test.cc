@@ -321,8 +321,8 @@ TEST(PostpassDifferentialTest, CreateDeterministicAcrossThreads) {
       EXPECT_EQ(other.row(i).rate, base.row(i).rate);
       EXPECT_EQ(other.row(i).divergence, base.row(i).divergence);
       EXPECT_EQ(other.row(i).t, base.row(i).t);
-      const auto a = base.SubsetLinks(i);
-      const auto b = other.SubsetLinks(i);
+      const auto a = base.row_links(i);
+      const auto b = other.row_links(i);
       ASSERT_EQ(a.size(), b.size());
       EXPECT_TRUE(std::equal(a.begin(), a.end(), b.begin()));
     }
@@ -336,7 +336,7 @@ TEST(PostpassDifferentialTest, SubsetLinksAreImmediateSubsets) {
   const PatternTable table = ExploreCase(c, 0.05);
   for (size_t i = 0; i < table.size(); ++i) {
     const Itemset& items = table.row(i).items;
-    const auto links = table.SubsetLinks(i);
+    const auto links = table.row_links(i);
     ASSERT_EQ(links.size(), items.size());
     for (size_t j = 0; j < items.size(); ++j) {
       ASSERT_NE(links[j], PatternTable::kNoLink);
@@ -425,7 +425,7 @@ TEST(TruncatedLatticeTest, AllLinksMissing) {
   EXPECT_EQ(guard.breach(), LimitBreach::kMemoryBudget);
   ASSERT_EQ(table->size(), 2u);  // root + {0, 2}
 
-  const auto links = table->SubsetLinks(1);
+  const auto links = table->row_links(1);
   ASSERT_EQ(links.size(), 2u);
   EXPECT_EQ(links[0], PatternTable::kNoLink);
   EXPECT_EQ(links[1], PatternTable::kNoLink);
@@ -449,12 +449,12 @@ TEST(TruncatedLatticeTest, PartialLinksStayConsistent) {
   ASSERT_TRUE(table.ok());
   ASSERT_EQ(table->size(), 3u);  // root + {0, 2} + {2}
 
-  const auto links = table->SubsetLinks(1);
+  const auto links = table->row_links(1);
   ASSERT_EQ(links.size(), 2u);
   EXPECT_EQ(links[0], 2u);  // {0,2} \ {0} = {2}, present at row 2
   EXPECT_EQ(links[1], PatternTable::kNoLink);  // {0} was dropped
   // {2}'s immediate subset is the root.
-  const auto single_links = table->SubsetLinks(2);
+  const auto single_links = table->row_links(2);
   ASSERT_EQ(single_links.size(), 1u);
   EXPECT_EQ(single_links[0], 0u);
 

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
 
 #include "testing/test_explore.h"
@@ -11,28 +12,12 @@ namespace divexp {
 namespace {
 
 using testing::ExploreForTest;
-
-PatternTable MakeRandomTable(uint64_t seed, size_t rows = 120,
-                             size_t attrs = 3, int domain = 2,
-                             double support = 0.01) {
-  Rng rng(seed);
-  std::vector<std::vector<int>> cells(rows, std::vector<int>(attrs));
-  std::string outcomes;
-  for (size_t r = 0; r < rows; ++r) {
-    for (size_t a = 0; a < attrs; ++a) {
-      cells[r][a] = static_cast<int>(rng.Below(domain));
-    }
-    const double u = rng.Uniform();
-    outcomes += (u < 0.35 ? 'T' : u < 0.8 ? 'F' : 'B');
-  }
-  return ExploreForTest(cells, std::vector<int>(attrs, domain), outcomes,
-                        support);
-}
+using testing::RandomTableForTest;
 
 TEST(ShapleyTest, EfficiencyAxiomContributionsSumToDivergence) {
   // Fundamental Shapley property: sum of contributions equals Δ(I).
   for (uint64_t seed : {1u, 2u, 3u, 4u}) {
-    const PatternTable table = MakeRandomTable(seed);
+    const PatternTable table = RandomTableForTest(seed);
     for (size_t i = 0; i < table.size(); ++i) {
       const PatternRow& row = table.row(i);
       if (row.items.empty()) continue;
@@ -47,7 +32,7 @@ TEST(ShapleyTest, EfficiencyAxiomContributionsSumToDivergence) {
 }
 
 TEST(ShapleyTest, SingleItemContributionIsItsDivergence) {
-  const PatternTable table = MakeRandomTable(7);
+  const PatternTable table = RandomTableForTest(7);
   for (size_t i = 0; i < table.size(); ++i) {
     const PatternRow& row = table.row(i);
     if (row.items.size() != 1) continue;
@@ -108,7 +93,7 @@ TEST(ShapleyTest, NullItemGetsZero) {
 
 TEST(ShapleyTest, MatchesManualTwoItemFormula) {
   // For |I| = 2: Δ(α|I) = 0.5·[Δ(α) − Δ(∅)] + 0.5·[Δ(I) − Δ(β)].
-  const PatternTable table = MakeRandomTable(13);
+  const PatternTable table = RandomTableForTest(13);
   for (size_t i = 0; i < table.size(); ++i) {
     const PatternRow& row = table.row(i);
     if (row.items.size() != 2) continue;
@@ -124,12 +109,58 @@ TEST(ShapleyTest, MatchesManualTwoItemFormula) {
 }
 
 TEST(ShapleyTest, InfrequentItemsetRejected) {
-  const PatternTable table = MakeRandomTable(17);
+  const PatternTable table = RandomTableForTest(17);
   EXPECT_FALSE(ShapleyContributions(table, Itemset{0, 99}).ok());
 }
 
+TEST(ShapleyTest, MatchesPermutationDefinition) {
+  // Def. 4.1 from scratch: an item's contribution is its marginal gain
+  // Δ(P ∪ {α}) − Δ(P) averaged over all n! orderings of I, where P is
+  // the set of items ordered before α. Each prefix itemset is looked up
+  // explicitly — no subset links, no submask enumeration.
+  for (uint64_t seed : {21u, 22u, 23u}) {
+    const PatternTable table =
+        RandomTableForTest(seed, /*rows=*/240, /*attrs=*/6);
+    size_t checked = 0;
+    for (size_t i = 0; i < table.size(); ++i) {
+      const Itemset& items = table.row(i).items;
+      if (items.empty() || items.size() > 6) continue;
+      const auto divergence_of = [&](Itemset subset) {
+        std::sort(subset.begin(), subset.end());
+        const Result<double> d = table.Divergence(subset);
+        DIVEXP_CHECK_OK(d.status());
+        return *d;
+      };
+      std::vector<double> expected(items.size(), 0.0);
+      std::vector<size_t> order(items.size());
+      std::iota(order.begin(), order.end(), size_t{0});
+      double orderings = 0.0;
+      do {
+        Itemset prefix;
+        for (const size_t pos : order) {
+          const double before = divergence_of(prefix);
+          prefix.push_back(items[pos]);
+          expected[pos] += divergence_of(prefix) - before;
+        }
+        orderings += 1.0;
+      } while (std::next_permutation(order.begin(), order.end()));
+
+      auto got = ShapleyContributions(table, items);
+      ASSERT_TRUE(got.ok());
+      ASSERT_EQ(got->size(), items.size());
+      for (size_t j = 0; j < items.size(); ++j) {
+        EXPECT_EQ((*got)[j].item, items[j]);
+        EXPECT_NEAR((*got)[j].contribution, expected[j] / orderings, 1e-12)
+            << table.ItemsetName(items) << " item " << j;
+      }
+      ++checked;
+    }
+    EXPECT_GT(checked, 100u) << "seed " << seed;
+  }
+}
+
 TEST(MarginalContributionTest, MatchesDivergenceDifference) {
-  const PatternTable table = MakeRandomTable(19);
+  const PatternTable table = RandomTableForTest(19);
   for (size_t i = 0; i < table.size(); ++i) {
     const PatternRow& row = table.row(i);
     if (row.items.size() < 2) continue;

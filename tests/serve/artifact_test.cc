@@ -16,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "core/table_fingerprint.h"
 #include "recovery/atomic_file.h"
 #include "recovery/snapshot_file.h"
 #include "serve/server.h"
@@ -73,15 +74,13 @@ void ExpectViewMatchesTable(const TableView& view,
     EXPECT_TRUE(std::equal(items.begin(), items.end(),
                            row.items.begin()))
         << "row " << i;
-    EXPECT_EQ(view.tally_t(i), row.counts.t);
-    EXPECT_EQ(view.tally_f(i), row.counts.f);
-    EXPECT_EQ(view.tally_bot(i), row.counts.bot);
+    EXPECT_EQ(view.counts(i), row.counts);
     EXPECT_EQ(view.support(i), row.support);
     EXPECT_EQ(view.rate(i), row.rate);
     EXPECT_EQ(view.divergence(i), row.divergence);
     EXPECT_EQ(view.t(i), row.t);
     const std::span<const uint32_t> links = view.row_links(i);
-    const std::span<const uint32_t> expected = table.SubsetLinks(i);
+    const std::span<const uint32_t> expected = table.row_links(i);
     ASSERT_EQ(links.size(), expected.size()) << "row " << i;
     EXPECT_TRUE(std::equal(links.begin(), links.end(), expected.begin()))
         << "row " << i;
@@ -127,7 +126,11 @@ TEST(ArtifactTest, FingerprintAgreesBetweenTableAndArtifact) {
   auto bytes = WriteArtifactBytes(table);
   auto artifact = PatternTableArtifact::FromBuffer(bytes);
   ASSERT_TRUE(artifact.ok());
-  EXPECT_EQ(TableFingerprint((*artifact)->view()), expected);
+  const TableView& view = (*artifact)->view();
+  EXPECT_EQ(divexp::TableFingerprint(view, *view.catalog,
+                                     view.num_dataset_rows, view.global_rate,
+                                     view.global_mean, view.global_variance),
+            expected);
   EXPECT_EQ((*artifact)->view().fingerprint, expected);
 }
 
@@ -153,7 +156,7 @@ TEST(ArtifactTest, EmptyTableOnlyEmptyItemsetRoundTrips) {
       bytes, ArtifactValidation::kFull);
   ASSERT_TRUE(artifact.ok()) << artifact.status().ToString();
   ExpectViewMatchesTable((*artifact)->view(), table);
-  EXPECT_FALSE((*artifact)->view().FindRow(Itemset{0}).has_value());
+  EXPECT_FALSE((*artifact)->view().Find(Itemset{0}).has_value());
 }
 
 TEST(ArtifactTest, SinglePatternTableRoundTrips) {
@@ -169,7 +172,7 @@ TEST(ArtifactTest, SinglePatternTableRoundTrips) {
       bytes, ArtifactValidation::kFull);
   ASSERT_TRUE(artifact.ok()) << artifact.status().ToString();
   ExpectViewMatchesTable((*artifact)->view(), table);
-  EXPECT_EQ((*artifact)->view().FindRow(Itemset{0}), 1u);
+  EXPECT_EQ((*artifact)->view().Find(Itemset{0}), 1u);
 }
 
 TEST(ArtifactTest, EveryTruncationFailsCleanly) {
@@ -492,7 +495,7 @@ TEST(ArtifactTest, NoLinkHolesRoundTrip) {
       MakeHandTable({{Itemset{}, OutcomeCounts{5, 4, 1}},
                      {Itemset{2}, OutcomeCounts{4, 1, 1}},
                      {Itemset{0, 2}, OutcomeCounts{2, 1, 0}}});
-  ASSERT_EQ(table.SubsetLinks(2)[1], PatternTable::kNoLink);
+  ASSERT_EQ(table.row_links(2)[1], PatternTable::kNoLink);
 
   auto artifact = PatternTableArtifact::FromBuffer(
       WriteArtifactBytes(table), ArtifactValidation::kFull);

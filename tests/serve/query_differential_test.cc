@@ -1,9 +1,10 @@
-// Differential oracle for the serving path: every query served from
-// the mmap'd artifact must be bit-identical to the in-memory
-// PatternTable it was written from (the reference implementation in
-// core/). Exact double equality throughout — the serve
-// engine replicates the core algorithms including their tie-breaks and
-// scan orders, so any drift is a bug, not tolerance noise.
+// Differential check of the table layout: every analysis run on the
+// mmap'd artifact's TableView must be bit-identical to the same
+// analysis on the in-memory PatternTable it was written from. Both
+// runs share one implementation (core/), so this compares the two read
+// surfaces — columns, links, lookup — not the algorithms; the
+// from-definition oracles in tests/core check those. Exact double
+// equality throughout: any drift is a bug, not tolerance noise.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -15,7 +16,6 @@
 #include "core/shapley.h"
 #include "recovery/atomic_file.h"
 #include "serve/artifact.h"
-#include "serve/query.h"
 #include "serve/server.h"
 #include "testing/table_bytes.h"
 #include "testing/test_explore.h"
@@ -82,8 +82,7 @@ TEST(QueryDifferentialTest, TopKMatchesPatternTableTopK) {
           query.descending = descending;
           query.min_support = min_support;
           query.max_len = 2;
-          QueryEngine engine(&h.artifact->view());
-          auto got = engine.TopK(query);
+          auto got = TopKRows(h.artifact->view(), query);
           ASSERT_TRUE(got.ok());
           EXPECT_EQ(*got, expected)
               << "k=" << k << " desc=" << descending
@@ -106,8 +105,7 @@ TEST(QueryDifferentialTest, UnboundedTopKMatchesRankForEveryKey) {
       query.k = h.table.size() + 1;  // no truncation: Rank equivalence
       query.key = key;
       query.descending = descending;
-      QueryEngine engine(&h.artifact->view());
-      auto got = engine.TopK(query);
+      auto got = TopKRows(h.artifact->view(), query);
       ASSERT_TRUE(got.ok());
       EXPECT_EQ(*got, expected) << "desc=" << descending;
     }
@@ -122,8 +120,7 @@ TEST(QueryDifferentialTest, ShapleyIsBitIdenticalForEveryRow) {
       if (items.empty()) continue;
       auto expected = ShapleyContributions(h.table, items);
       ASSERT_TRUE(expected.ok());
-      QueryEngine engine(&h.artifact->view());
-      auto got = engine.Shapley(items);
+      auto got = ShapleyContributions(h.artifact->view(), items);
       ASSERT_TRUE(got.ok());
       ASSERT_EQ(got->size(), expected->size());
       for (size_t j = 0; j < got->size(); ++j) {
@@ -145,8 +142,7 @@ TEST(QueryDifferentialTest, BrowseMatchesBuildLattice) {
     ++targets;
     auto expected = BuildLattice(h.table, target);
     ASSERT_TRUE(expected.ok());
-    QueryEngine engine(&h.artifact->view());
-    auto got = engine.Browse(target);
+    auto got = BuildLattice(h.artifact->view(), target);
     ASSERT_TRUE(got.ok());
     ASSERT_EQ(got->nodes.size(), expected->nodes.size());
     for (size_t n = 0; n < got->nodes.size(); ++n) {
@@ -177,8 +173,7 @@ TEST(QueryDifferentialTest, CorrectiveMatchesFindCorrectiveItems) {
       options.top_k = top_k;
       const std::vector<CorrectiveItem> expected =
           FindCorrectiveItems(h.table, options);
-      QueryEngine engine(&h.artifact->view());
-      auto got = engine.Corrective(options);
+      auto got = ScanCorrectiveItems(h.artifact->view(), options);
       ASSERT_TRUE(got.ok());
       ASSERT_EQ(got->size(), expected.size())
           << "min_factor=" << min_factor << " k=" << top_k;
@@ -204,12 +199,12 @@ TEST(QueryDifferentialTest, ErrorMessagesMatchTheCoreImplementations) {
   ASSERT_FALSE(h.table.Contains(missing));
   auto core_shapley = ShapleyContributions(h.table, missing);
   auto core_lattice = BuildLattice(h.table, missing);
-  QueryEngine engine(&h.artifact->view());
-  auto shapley = engine.Shapley(missing);
+  const TableView& view = h.artifact->view();
+  auto shapley = ShapleyContributions(view, missing);
   ASSERT_FALSE(shapley.ok());
   EXPECT_EQ(shapley.status().ToString(),
             core_shapley.status().ToString());
-  auto browse = engine.Browse(missing);
+  auto browse = BuildLattice(view, missing);
   ASSERT_FALSE(browse.ok());
   EXPECT_EQ(browse.status().ToString(),
             core_lattice.status().ToString());
@@ -219,19 +214,21 @@ TEST(QueryDifferentialTest, CancelledGuardStopsEveryQuery) {
   Harness h(11, "guard");
   RunGuard guard;
   guard.RequestCancel();
-  QueryEngine engine(&h.artifact->view());
-  EXPECT_EQ(engine.TopK(TopKQuery{}, &guard).status().code(),
+  const TableView& view = h.artifact->view();
+  EXPECT_EQ(TopKRows(view, TopKQuery{}, &guard).status().code(),
             StatusCode::kCancelled);
-  EXPECT_EQ(engine.Corrective(CorrectiveOptions{}, &guard).status().code(),
+  EXPECT_EQ(ScanCorrectiveItems(view, CorrectiveOptions{}, &guard)
+                .status()
+                .code(),
             StatusCode::kCancelled);
   // Browse / Shapley need a valid multi-item target to reach the
   // guarded loops.
   for (size_t i = 0; i < h.table.size(); ++i) {
     const Itemset& items = h.table.row(i).items;
     if (items.size() < 2) continue;
-    EXPECT_EQ(engine.Browse(items, &guard).status().code(),
+    EXPECT_EQ(BuildLattice(view, items, &guard).status().code(),
               StatusCode::kCancelled);
-    EXPECT_EQ(engine.Shapley(items, &guard).status().code(),
+    EXPECT_EQ(ShapleyContributions(view, items, &guard).status().code(),
               StatusCode::kCancelled);
     break;
   }

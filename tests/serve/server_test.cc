@@ -10,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "core/shapley.h"
 #include "obs/json.h"
 #include "obs/metrics.h"
 #include "recovery/atomic_file.h"
@@ -220,14 +221,38 @@ TEST_F(ServerTest, ExecuteTimeErrorsAreNotCached) {
 TEST_F(ServerTest, ShapleyRejectsOversizedItemsets) {
   QueryService service = MakeService();
   // 70 items would shift 1ULL past 63 in the submask enumeration; the
-  // engine must reject the request before touching the table.
+  // analysis must reject the request before touching the table.
   std::vector<uint32_t> ids(70);
   for (uint32_t i = 0; i < 70; ++i) ids[i] = i;
   const auto result =
-      service.engine().Shapley(MakeItemset(std::move(ids)), nullptr);
+      ShapleyContributions(table_->view(), MakeItemset(std::move(ids)));
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
   EXPECT_NE(result.status().message().find("at most"), std::string::npos);
+}
+
+TEST_F(ServerTest, BrowseRejectsTargetsBeyondTheSubsetCapAndKeepsServing) {
+  // {∅, one 26-item row} passes full validation; browsing the long row
+  // used to abort the daemon in the 2^n subset enumeration.
+  const std::string path = TempDir("long_target") + "/table.dvt";
+  DIVEXP_CHECK_OK(
+      WritePatternTableArtifact(path, testing::LongItemsetTable(26)));
+  auto opened = OpenServingTable(path, ArtifactValidation::kFull);
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  QueryService service(&*opened);
+  std::string spec;
+  for (size_t a = 0; a < 26; ++a) {
+    if (a) spec += ',';
+    spec += "a" + std::to_string(a) + "=1";
+  }
+  for (const std::string verb : {"browse", "shapley"}) {
+    const obs::JsonValue v =
+        Parse(service.HandleLine(verb + " items=" + spec));
+    ASSERT_FALSE(Ok(v)) << verb;
+    EXPECT_EQ(v.Find("code")->string, "InvalidArgument") << verb;
+  }
+  EXPECT_TRUE(Ok(Parse(service.HandleLine("topk k=1"))));
+  EXPECT_TRUE(Ok(Parse(service.HandleLine("stats"))));
 }
 
 TEST_F(ServerTest, CancelledGuardBecomesCleanError) {

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "recovery/atomic_file.h"
+#include "shard/worker/worker.h"
 #include "testing/test_data.h"
 #include "util/random.h"
 
@@ -300,6 +301,17 @@ TEST(WorkerSpecTest, ByteFlippedPayloadsNeverCrashTheDecoder) {
       const std::string reencoded = SerializeWorkerSpec(parsed.value());
       EXPECT_FALSE(reencoded.empty());
     }
+  }
+}
+
+TEST(ShardWorkerMainTest, MalformedStatusFdIsAUsageError) {
+  // "abc" must not be read as fd 0 (stdin), and no other malformed or
+  // out-of-range value may reach the spec read either: each is exit 2.
+  for (const char* fd : {"abc", "", "3x", "-1", "99999999999"}) {
+    EXPECT_EQ(ShardWorkerMain({"--spec=/nonexistent/spec.bin",
+                               std::string("--status-fd=") + fd}),
+              2)
+        << "--status-fd=" << fd;
   }
 }
 

@@ -6,14 +6,14 @@
 //   --top=N    rows to print (default 10, 0 = none)
 //   --verify   full validation: every section CRC, a complete row
 //              walk and a fingerprint recompute (exit 1 on mismatch)
+#include <charconv>
 #include <cinttypes>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
+#include "core/pattern.h"
 #include "serve/artifact.h"
-#include "serve/query.h"
 #include "util/string_util.h"
 
 namespace divexp {
@@ -28,7 +28,13 @@ int Run(int argc, char** argv) {
     if (arg == "--verify") {
       verify = true;
     } else if (arg.rfind("--top=", 0) == 0) {
-      top = std::strtoull(arg.c_str() + 6, nullptr, 10);
+      const char* first = arg.c_str() + 6;
+      const char* last = arg.c_str() + arg.size();
+      const auto [end, ec] = std::from_chars(first, last, top);
+      if (first == last || ec != std::errc() || end != last) {
+        std::fprintf(stderr, "bad value for --top: '%s'\n", first);
+        return 2;
+      }
     } else if (path.empty() && arg.rfind("--", 0) != 0) {
       path = arg;
     } else {
@@ -73,10 +79,9 @@ int Run(int argc, char** argv) {
   if (verify) std::printf("  full validation: OK\n");
 
   if (top == 0) return 0;
-  serve::QueryEngine engine(&view);
-  serve::TopKQuery query;
+  TopKQuery query;
   query.k = top;
-  auto rows = engine.TopK(query);
+  auto rows = TopKRows(view, query);
   if (!rows.ok()) {
     std::fprintf(stderr, "top-k failed: %s\n",
                  rows.status().ToString().c_str());
@@ -85,7 +90,7 @@ int Run(int argc, char** argv) {
   std::printf("top %zu rows by divergence:\n", rows->size());
   for (const size_t i : *rows) {
     std::printf("  %-50s sup=%.4f div=%+.4f t=%.2f\n",
-                engine.ItemsetName(view.row_items(i)).c_str(),
+                ItemsetName(*view.catalog, view.row_items(i)).c_str(),
                 view.support(i), view.divergence(i), view.t(i));
   }
   return 0;
