@@ -281,7 +281,7 @@ int main(int argc, char** argv) {
   // low-support drives Apriori's bitmap tallies, sparse drives ECLAT's
   // tid-list intersections, mid is FP-growth territory. The dense cell
   // runs all three miners so the gate cells (apriori, eclat) and the
-  // arena-backed FP-growth baseline share one workload.
+  // FP-growth baseline share one workload.
   const std::vector<Shape> shapes = {
       {"dense_s0.02", 8, 5, 0.02,
        {MinerKind::kApriori, MinerKind::kEclat, MinerKind::kFpGrowth}},

@@ -149,7 +149,6 @@ Result<PatternTable> DivergenceExplorer::ExploreOutcomes(
     mopts.guard = guard;
     mopts.stages = &stages;
     mopts.kernel = plan.kernel;
-    mopts.use_arena = options_.use_arena;
     if (checkpointer != nullptr) {
       // Strict on the first attempt of an explicit --resume: a snapshot
       // that cannot apply is an error, not a silent remine.

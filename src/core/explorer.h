@@ -52,8 +52,10 @@ struct ExplorerOptions {
   /// best SIMD table the CPU supports, kScalar forces the portable
   /// reference.
   fpm::KernelKind kernel = fpm::KernelKind::kAuto;
-  /// Back FP-trees with the bump-pointer node arena (default) or the
-  /// per-node deque fallback; identical results either way.
+  /// Ignored: FP-growth has one array-backed tree layout. Kept only
+  /// because the end-to-end benchmark sets it and the shard-worker spec
+  /// carries it as one byte; deletion waits for the next
+  /// benchmark-only change.
   bool use_arena = true;
   /// Cap on itemset length; 0 = full exploration.
   size_t max_length = 0;

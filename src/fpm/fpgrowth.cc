@@ -1,13 +1,13 @@
 #include "fpm/fpgrowth.h"
 
 #include <algorithm>
-#include <deque>
+#include <atomic>
+#include <cstdint>
 #include <exception>
 #include <iterator>
 #include <string>
-#include <unordered_map>
+#include <vector>
 
-#include "fpm/kernels/arena.h"
 #include "obs/metrics.h"
 #include "obs/stage.h"
 #include "obs/trace.h"
@@ -17,203 +17,285 @@
 namespace divexp {
 namespace {
 
-// Field order is the access order of the two hot walks: Insert chases
-// first_child/next_sibling and compares item; PrefixPath chases parent.
-// Keeping those in the first 32 bytes means both walks touch only the
-// first cache line half of each node; next_header and the tallies (read
-// once per header scan) trail.
+constexpr uint32_t kNil = 0xFFFFFFFFu;
+
+template <typename T>
+uint64_t CapacityBytes(const std::vector<T>& v) {
+  return v.capacity() * sizeof(T);
+}
+
+OutcomeCounts OutcomeDelta(Outcome outcome) {
+  OutcomeCounts delta;
+  switch (outcome) {
+    case Outcome::kTrue:
+      delta.t = 1;
+      break;
+    case Outcome::kFalse:
+      delta.f = 1;
+      break;
+    case Outcome::kBottom:
+      delta.bot = 1;
+      break;
+  }
+  return delta;
+}
+
+// Links are indices into FpTree::nodes (kNil = none). `rank` is the
+// node's item rank in its own tree; every ancestor has a smaller rank.
 struct FpNode {
-  FpNode* first_child = nullptr;
-  FpNode* next_sibling = nullptr;
-  FpNode* parent = nullptr;
-  uint32_t item = 0;
-  FpNode* next_header = nullptr;  // chain of same-item nodes
+  uint32_t parent;
+  uint32_t first_child;
+  uint32_t next_sibling;
+  uint32_t next_same;  // header chain: next node of the same rank
+  uint32_t rank;
   OutcomeCounts counts;
 };
 
-struct HeaderEntry {
-  uint32_t item = 0;
-  OutcomeCounts totals;
-  FpNode* head = nullptr;
-};
+// An array-backed FP-tree (Grahne & Zhu's FPgrowth* layout). Node 0 is
+// the root. Items are ranked by (support desc, id asc); index r of the
+// rank arrays holds rank r's item id, (T, F, ⊥) totals and header-chain
+// head. Reset keeps every buffer's capacity, so a tree reused across
+// projections stops allocating once it has grown.
+struct FpTree {
+  std::vector<FpNode> nodes;
+  std::vector<uint32_t> item;
+  std::vector<OutcomeCounts> totals;
+  std::vector<uint32_t> head;
 
-// An FP-tree plus its header table, owning its nodes. Nodes live in a
-// bump-pointer NodeArena by default (contiguous in insertion order,
-// freed wholesale with the tree); the deque fallback exists for the
-// arena differential tests and as an escape hatch
-// (MinerOptions::use_arena). Both modes build identical trees — only
-// where the nodes live differs.
-class FpTree {
- public:
-  explicit FpTree(bool use_arena = true) : use_arena_(use_arena) {
-    root_ = NewNode();
+  /// Empties the tree for `num_ranks` ranks; the caller fills item and
+  /// totals.
+  void Reset(size_t num_ranks) {
+    nodes.clear();
+    nodes.push_back(FpNode{kNil, kNil, kNil, kNil, kNil, {}});
+    item.resize(num_ranks);
+    totals.resize(num_ranks);
+    head.assign(num_ranks, kNil);
   }
 
-  bool uses_arena() const { return use_arena_; }
-
-  /// Prepares the header for the given (already support-filtered) item
-  /// totals. Items are ranked by descending support count, ties broken
-  /// by ascending id, which fixes the insertion order.
-  void SetItems(std::vector<std::pair<uint32_t, OutcomeCounts>> items) {
-    std::sort(items.begin(), items.end(),
-              [](const auto& a, const auto& b) {
-                if (a.second.total() != b.second.total()) {
-                  return a.second.total() > b.second.total();
-                }
-                return a.first < b.first;
-              });
-    headers_.clear();
-    rank_.clear();
-    headers_.reserve(items.size());
-    for (size_t i = 0; i < items.size(); ++i) {
-      HeaderEntry h;
-      h.item = items[i].first;
-      h.totals = items[i].second;
-      headers_.push_back(h);
-      rank_.emplace(items[i].first, static_cast<uint32_t>(i));
-    }
-  }
-
-  bool HasItem(uint32_t item) const { return rank_.count(item) > 0; }
-
-  /// Inserts a transaction; `items` may be in any order and may contain
-  /// items absent from the header (they are dropped). Each node along
-  /// the path accumulates `delta`.
-  void Insert(std::vector<uint32_t> items, const OutcomeCounts& delta) {
-    // Keep only ranked items, sorted by rank (descending support).
-    std::vector<std::pair<uint32_t, uint32_t>> ranked;  // (rank, item)
-    ranked.reserve(items.size());
-    for (uint32_t id : items) {
-      auto it = rank_.find(id);
-      if (it != rank_.end()) ranked.emplace_back(it->second, id);
-    }
-    std::sort(ranked.begin(), ranked.end());
-    FpNode* node = root_;
-    for (const auto& [rank, id] : ranked) {
-      FpNode* child = node->first_child;
-      while (child != nullptr && child->item != id) {
-        child = child->next_sibling;
+  /// Adds `delta` along the path of `n` strictly increasing ranks,
+  /// creating the nodes it lacks.
+  void Insert(const uint32_t* ranks, size_t n, const OutcomeCounts& delta) {
+    uint32_t node = 0;
+    for (size_t i = 0; i < n; ++i) {
+      const uint32_t r = ranks[i];
+      uint32_t child = nodes[node].first_child;
+      while (child != kNil && nodes[child].rank != r) {
+        child = nodes[child].next_sibling;
       }
-      if (child == nullptr) {
-        child = NewNode();
-        child->item = id;
-        child->parent = node;
-        child->next_sibling = node->first_child;
-        node->first_child = child;
-        child->next_header = headers_[rank].head;
-        headers_[rank].head = child;
+      if (child == kNil) {
+        child = static_cast<uint32_t>(nodes.size());
+        nodes.push_back(
+            FpNode{node, kNil, nodes[node].first_child, head[r], r, {}});
+        nodes[node].first_child = child;
+        head[r] = child;
       }
-      child->counts += delta;
+      nodes[child].counts += delta;
       node = child;
     }
   }
 
-  const std::vector<HeaderEntry>& headers() const { return headers_; }
-
-  /// Heap footprint for the guard's memory accounting. In arena mode
-  /// this is the real reserved block bytes (what the allocator took
-  /// from the heap), not just the node payload sum.
+  /// Heap bytes the tree holds (capacities, not sizes).
   uint64_t MemoryBytes() const {
-    const uint64_t node_bytes = use_arena_
-                                    ? arena_.allocated_bytes()
-                                    : fallback_.size() * sizeof(FpNode);
-    return node_bytes +
-           headers_.size() * (sizeof(HeaderEntry) + 3 * sizeof(uint64_t));
+    return CapacityBytes(nodes) + CapacityBytes(item) +
+           CapacityBytes(totals) + CapacityBytes(head);
   }
+};
 
-  /// Bytes reserved by the node arena (0 in fallback mode); feeds the
-  /// fpm.kernel.arena.bytes counter.
-  uint64_t ArenaBytes() const {
-    return use_arena_ ? arena_.allocated_bytes() : 0;
-  }
-
-  /// Path of items from `node`'s parent up to (excluding) the root.
-  std::vector<uint32_t> PrefixPath(const FpNode* node) const {
-    std::vector<uint32_t> path;
-    for (const FpNode* p = node->parent; p != nullptr && p != root_;
-         p = p->parent) {
-      path.push_back(p->item);
+// Grow-scratch bytes held by the growers alive at once, and their high
+// water; shared by concurrent growers.
+class ScratchMeter {
+ public:
+  void Add(uint64_t bytes) {
+    const uint64_t live =
+        live_.fetch_add(bytes, std::memory_order_relaxed) + bytes;
+    uint64_t peak = peak_.load(std::memory_order_relaxed);
+    while (live > peak &&
+           !peak_.compare_exchange_weak(peak, live,
+                                        std::memory_order_relaxed)) {
     }
-    return path;
+  }
+  void Sub(uint64_t bytes) {
+    live_.fetch_sub(bytes, std::memory_order_relaxed);
+  }
+  uint64_t peak() const { return peak_.load(std::memory_order_relaxed); }
+
+ private:
+  std::atomic<uint64_t> live_{0};
+  std::atomic<uint64_t> peak_{0};
+};
+
+// Depth-first FP-growth over one top-level tree, confined to one
+// thread. Every recursion depth reuses its own conditional tree; the
+// tally, rank-map and path buffers are shared by all depths because a
+// projection is complete before the recursion descends. All buffers are
+// charged to the meter and the guard as their capacity grows and
+// released when the grower is destroyed.
+class Grower {
+ public:
+  Grower(const FpTree& top, uint64_t min_count, size_t max_length,
+         MineControl* ctrl, ScratchMeter* meter,
+         std::vector<MinedPattern>* out)
+      : min_count_(min_count),
+        max_length_(max_length),
+        ctrl_(ctrl),
+        meter_(meter),
+        out_(out) {
+    // A pattern holds distinct top-level items, so no recursion runs
+    // deeper than the top-level rank count.
+    const size_t k = top.item.size();
+    const size_t depth = max_length == 0 ? k : std::min(k, max_length);
+    trees_.resize(depth + 1);
+    suffixes_.resize(depth + 1);
+    tally_.reserve(k);
+    cond_rank_.reserve(k);
+    frequent_.reserve(k);
+    cond_path_.reserve(k);
+    Charge(CapacityBytes(tally_) + CapacityBytes(cond_rank_) +
+           CapacityBytes(frequent_) + CapacityBytes(cond_path_));
+  }
+
+  ~Grower() {
+    meter_->Sub(bytes_);
+    if (ctrl_->guard() != nullptr) ctrl_->guard()->SubMemory(bytes_);
+  }
+
+  Grower(const Grower&) = delete;
+  Grower& operator=(const Grower&) = delete;
+
+  /// Mines every rank of `tree` (whose patterns extend the depth-long
+  /// suffix), least frequent first — the classic order.
+  void MineTree(const FpTree& tree, size_t depth) {
+    for (size_t hi = tree.item.size(); hi-- > 0;) {
+      if (ctrl_->stopped()) return;
+      MineRank(tree, depth, hi);
+    }
+  }
+
+  /// Emits suffix ∪ {rank hi's item}, then projects its conditional
+  /// tree and mines that.
+  void MineRank(const FpTree& tree, size_t depth, size_t hi) {
+    if (!Emit(tree.item[hi], tree.totals[hi], depth) || !CanExtend(depth)) {
+      return;
+    }
+    FpTree& cond = trees_[depth + 1];
+    if (Project(tree, hi, &cond)) MineTree(cond, depth + 1);
   }
 
  private:
-  FpNode* NewNode() {
-    if (use_arena_) return arena_.New<FpNode>();
-    fallback_.emplace_back();
-    return &fallback_.back();
+  bool CanExtend(size_t depth) const {
+    return max_length_ == 0 || depth + 1 < max_length_;
   }
 
-  bool use_arena_;
-  fpm::NodeArena arena_;
-  std::deque<FpNode> fallback_;
-  FpNode* root_ = nullptr;
-  std::vector<HeaderEntry> headers_;
-  std::unordered_map<uint32_t, uint32_t> rank_;
+  // Records scratch growth (capacities never shrink, so growth is
+  // never negative); false once the guard's memory limit trips.
+  bool Charge(uint64_t bytes) {
+    bytes_ += bytes;
+    meter_->Add(bytes);
+    return ctrl_->guard() == nullptr || bytes == 0 ||
+           ctrl_->guard()->AddMemory(bytes);
+  }
+
+  // Emits the depth-long suffix plus `item` (kept sorted, so emitted
+  // patterns need no sort) and leaves it as the suffix of depth + 1.
+  // The fail point fires once per attempted non-empty pattern.
+  bool Emit(uint32_t item, const OutcomeCounts& counts, size_t depth) {
+    DIVEXP_FAILPOINT("fpm.fpgrowth.grow");
+    if (!ctrl_->Emit(depth + 1)) return false;
+    const Itemset& suffix = suffixes_[depth];
+    Itemset& pattern = suffixes_[depth + 1];
+    const auto split = std::upper_bound(suffix.begin(), suffix.end(), item);
+    pattern.assign(suffix.begin(), split);
+    pattern.push_back(item);
+    pattern.insert(pattern.end(), split, suffix.end());
+    out_->push_back(MinedPattern{pattern, counts});
+    return true;
+  }
+
+  // Builds rank hi's conditional tree of `tree` into `cond`. False when
+  // no item of the projection is frequent or the guard stops the run.
+  bool Project(const FpTree& tree, size_t hi, FpTree* cond) {
+    // Conditional totals, indexed by rank in `tree`: every ancestor of
+    // a rank-hi node has a smaller rank, so hi slots cover them all and
+    // each extension's exact support is known before any tree is built.
+    // The same walk records each prefix path (leaf to root), so the
+    // build below does not walk the tree again.
+    const uint64_t paths_before =
+        CapacityBytes(paths_) + CapacityBytes(path_ends_);
+    tally_.assign(hi, OutcomeCounts{});
+    paths_.clear();
+    path_ends_.clear();
+    for (uint32_t n = tree.head[hi]; n != kNil; n = tree.nodes[n].next_same) {
+      const OutcomeCounts& counts = tree.nodes[n].counts;
+      for (uint32_t p = tree.nodes[n].parent; p != 0;
+           p = tree.nodes[p].parent) {
+        tally_[tree.nodes[p].rank] += counts;
+        paths_.push_back(tree.nodes[p].rank);
+      }
+      path_ends_.push_back(static_cast<uint32_t>(paths_.size()));
+    }
+    if (!Charge(CapacityBytes(paths_) + CapacityBytes(path_ends_) -
+                paths_before)) {
+      return false;
+    }
+    frequent_.clear();
+    for (uint32_t r = 0; r < hi; ++r) {
+      if (tally_[r].total() >= min_count_) frequent_.push_back(r);
+    }
+    if (frequent_.empty()) return false;
+    std::sort(frequent_.begin(), frequent_.end(),
+              [&](uint32_t a, uint32_t b) {
+                if (tally_[a].total() != tally_[b].total()) {
+                  return tally_[a].total() > tally_[b].total();
+                }
+                return tree.item[a] < tree.item[b];
+              });
+
+    const uint64_t tree_before = cond->MemoryBytes();
+    cond->Reset(frequent_.size());
+    cond_rank_.assign(hi, kNil);
+    for (size_t i = 0; i < frequent_.size(); ++i) {
+      const uint32_t r = frequent_[i];
+      cond_rank_[r] = static_cast<uint32_t>(i);
+      cond->item[i] = tree.item[r];
+      cond->totals[i] = tally_[r];
+    }
+    // Each recorded path is read root first, so its conditional ranks
+    // come out nearly ascending: the sort's cheap case.
+    uint32_t begin = 0;
+    size_t path = 0;
+    for (uint32_t n = tree.head[hi]; n != kNil; n = tree.nodes[n].next_same) {
+      const uint32_t end = path_ends_[path++];
+      cond_path_.clear();
+      for (uint32_t j = end; j-- > begin;) {
+        const uint32_t r = cond_rank_[paths_[j]];
+        if (r != kNil) cond_path_.push_back(r);
+      }
+      begin = end;
+      std::sort(cond_path_.begin(), cond_path_.end());
+      cond->Insert(cond_path_.data(), cond_path_.size(), tree.nodes[n].counts);
+    }
+    return Charge(cond->MemoryBytes() - tree_before);
+  }
+
+  const uint64_t min_count_;
+  const size_t max_length_;
+  MineControl* const ctrl_;
+  ScratchMeter* const meter_;
+  std::vector<MinedPattern>* const out_;
+  uint64_t bytes_ = 0;
+  // trees_[d] is the conditional tree at depth d (trees_[0] unused);
+  // suffixes_[d] is the sorted d-item suffix its patterns extend.
+  std::vector<FpTree> trees_;
+  std::vector<Itemset> suffixes_;
+  std::vector<OutcomeCounts> tally_;
+  std::vector<uint32_t> cond_rank_;
+  std::vector<uint32_t> frequent_;
+  std::vector<uint32_t> cond_path_;
+  // Prefix paths recorded by the tally walk: ranks leaf to root, and
+  // each path's end offset.
+  std::vector<uint32_t> paths_;
+  std::vector<uint32_t> path_ends_;
 };
-
-void MineTree(const FpTree& tree, const Itemset& suffix,
-              uint64_t min_count, size_t max_length, MineControl* ctrl,
-              std::vector<MinedPattern>* out);
-
-// Mines one header item of `tree`: emits the pattern suffix+item, then
-// projects and recurses into its conditional tree.
-void MineHeaderItem(const FpTree& tree, size_t hi, const Itemset& suffix,
-                    uint64_t min_count, size_t max_length,
-                    MineControl* ctrl, std::vector<MinedPattern>* out) {
-  DIVEXP_FAILPOINT("fpm.fpgrowth.grow");
-  const HeaderEntry& h = tree.headers()[hi];
-  if (!ctrl->Emit(suffix.size() + 1)) return;
-  Itemset pattern = suffix;
-  pattern.push_back(h.item);
-  std::sort(pattern.begin(), pattern.end());
-  out->push_back(MinedPattern{pattern, h.totals});
-  if (max_length != 0 && suffix.size() + 1 >= max_length) return;
-
-  // Conditional pattern base for this item.
-  std::vector<std::pair<std::vector<uint32_t>, OutcomeCounts>> base;
-  std::unordered_map<uint32_t, OutcomeCounts> cond_totals;
-  for (const FpNode* node = h.head; node != nullptr;
-       node = node->next_header) {
-    std::vector<uint32_t> path = tree.PrefixPath(node);
-    if (path.empty()) continue;
-    for (uint32_t id : path) cond_totals[id] += node->counts;
-    base.emplace_back(std::move(path), node->counts);
-  }
-  std::vector<std::pair<uint32_t, OutcomeCounts>> freq_items;
-  for (const auto& [id, totals] : cond_totals) {
-    if (totals.total() >= min_count) freq_items.emplace_back(id, totals);
-  }
-  if (freq_items.empty()) return;
-
-  FpTree cond(tree.uses_arena());
-  cond.SetItems(std::move(freq_items));
-  for (auto& [path, counts] : base) {
-    cond.Insert(std::move(path), counts);
-  }
-  RunGuard* guard = ctrl->guard();
-  const uint64_t cond_bytes = cond.MemoryBytes();
-  if (guard != nullptr && !guard->AddMemory(cond_bytes)) {
-    guard->SubMemory(cond_bytes);
-    return;
-  }
-  Itemset next_suffix = suffix;
-  next_suffix.push_back(h.item);
-  MineTree(cond, next_suffix, min_count, max_length, ctrl, out);
-  if (guard != nullptr) guard->SubMemory(cond_bytes);
-}
-
-// Recursive FP-growth. `suffix` holds the items already fixed (in
-// arbitrary order; patterns are sorted on emission).
-void MineTree(const FpTree& tree, const Itemset& suffix, uint64_t min_count,
-              size_t max_length, MineControl* ctrl,
-              std::vector<MinedPattern>* out) {
-  // Process header items least-frequent first (classic order).
-  for (size_t hi = tree.headers().size(); hi-- > 0;) {
-    if (ctrl->stopped()) return;
-    MineHeaderItem(tree, hi, suffix, min_count, max_length, ctrl, out);
-  }
-}
 
 }  // namespace
 
@@ -234,7 +316,7 @@ Result<std::vector<MinedPattern>> FpGrowthMiner::Mine(
   // insertion), grow covers the enumeration. Truncated runs record
   // whatever the timers saw so far (the RAII destructors fire on every
   // return path).
-  FpTree tree(options.use_arena);
+  FpTree tree;
   obs::StageTimer build_timer(options.stages, obs::kStageMineBuild);
   obs::ScopedSpan build_span(obs::kStageMineBuild);
   const uint64_t build_checks0 =
@@ -251,64 +333,57 @@ Result<std::vector<MinedPattern>> FpGrowthMiner::Mine(
   // Pass 1: global item tallies.
   std::vector<OutcomeCounts> item_totals(db.num_items());
   for (size_t r = 0; r < n; ++r) {
-    OutcomeCounts delta;
-    switch (db.outcome(r)) {
-      case Outcome::kTrue:
-        delta.t = 1;
-        break;
-      case Outcome::kFalse:
-        delta.f = 1;
-        break;
-      case Outcome::kBottom:
-        delta.bot = 1;
-        break;
-    }
+    const OutcomeCounts delta = OutcomeDelta(db.outcome(r));
     const uint32_t* row = db.row(r);
     for (size_t a = 0; a < db.num_attributes(); ++a) {
       item_totals[row[a]] += delta;
     }
   }
   build_timer.AddItems(n);
-  std::vector<std::pair<uint32_t, OutcomeCounts>> freq_items;
+  std::vector<uint32_t> frequent;
   for (uint32_t id = 0; id < db.num_items(); ++id) {
-    if (item_totals[id].total() >= min_count) {
-      freq_items.emplace_back(id, item_totals[id]);
-    }
+    if (item_totals[id].total() >= min_count) frequent.push_back(id);
   }
-  if (freq_items.empty()) {
+  if (frequent.empty()) {
     close_build();
     return out;
   }
+  std::sort(frequent.begin(), frequent.end(), [&](uint32_t a, uint32_t b) {
+    if (item_totals[a].total() != item_totals[b].total()) {
+      return item_totals[a].total() > item_totals[b].total();
+    }
+    return a < b;
+  });
+  std::vector<uint32_t> rank_of(db.num_items(), kNil);
+  tree.Reset(frequent.size());
+  for (size_t i = 0; i < frequent.size(); ++i) {
+    rank_of[frequent[i]] = static_cast<uint32_t>(i);
+    tree.item[i] = frequent[i];
+    tree.totals[i] = item_totals[frequent[i]];
+  }
 
   // Pass 2: build the FP-tree with outcome deltas on every node.
-  tree.SetItems(std::move(freq_items));
-  std::vector<uint32_t> items;
+  std::vector<uint32_t> path(db.num_attributes());
   for (size_t r = 0; r < n; ++r) {
     if (guard != nullptr && !guard->Tick()) {
       close_build();
       return out;
     }
-    OutcomeCounts delta;
-    switch (db.outcome(r)) {
-      case Outcome::kTrue:
-        delta.t = 1;
-        break;
-      case Outcome::kFalse:
-        delta.f = 1;
-        break;
-      case Outcome::kBottom:
-        delta.bot = 1;
-        break;
+    const uint32_t* row = db.row(r);
+    size_t len = 0;
+    for (size_t a = 0; a < db.num_attributes(); ++a) {
+      const uint32_t rank = rank_of[row[a]];
+      if (rank != kNil) path[len++] = rank;
     }
-    items.assign(db.row(r), db.row(r) + db.num_attributes());
-    tree.Insert(items, delta);
+    std::sort(path.begin(), path.begin() + len);
+    tree.Insert(path.data(), len, OutcomeDelta(db.outcome(r)));
   }
 
   build_timer.AddItems(n);
-  // Top-level tree only; conditional trees are too transient to meter.
+  // Top-level tree only; the grow scratch is reported by mine.grow.
   obs::MetricsRegistry::Default()
       .GetCounter("fpm.kernel.arena.bytes")
-      ->Add(tree.ArenaBytes());
+      ->Add(CapacityBytes(tree.nodes));
   const uint64_t tree_bytes = tree.MemoryBytes();
   if (guard != nullptr && !guard->AddMemory(tree_bytes)) {
     guard->SubMemory(tree_bytes);
@@ -321,11 +396,17 @@ Result<std::vector<MinedPattern>> FpGrowthMiner::Mine(
   obs::ScopedSpan grow_span(obs::kStageMineGrow);
   const uint64_t grow_checks0 =
       guard != nullptr ? guard->check_count() : 0;
+  // With a guard, its high water covers the tree, every live grower's
+  // scratch and the emitted patterns; without one, the tree and the
+  // growers' live scratch are all that is counted.
+  ScratchMeter meter;
   auto close_grow = [&]() {
     grow_timer.AddItems(out.size() - 1);  // non-empty patterns emitted
     if (guard != nullptr) {
       grow_timer.SetPeakBytes(guard->peak_memory_bytes());
       grow_timer.AddGuardChecks(guard->check_count() - grow_checks0);
+    } else {
+      grow_timer.SetPeakBytes(tree_bytes + meter.peak());
     }
     grow_timer.Finish();
     grow_span.End();
@@ -335,8 +416,8 @@ Result<std::vector<MinedPattern>> FpGrowthMiner::Mine(
   if (options.num_threads <= 1 && sink == nullptr) {
     MineControl ctrl(guard);
     try {
-      MineTree(tree, Itemset{}, min_count, options.max_length, &ctrl,
-               &out);
+      Grower grower(tree, min_count, options.max_length, &ctrl, &meter, &out);
+      grower.MineTree(tree, 0);
     } catch (const std::exception& e) {
       if (guard != nullptr) guard->SubMemory(tree_bytes);
       return Status::Internal(std::string("fpgrowth worker failed: ") +
@@ -348,18 +429,18 @@ Result<std::vector<MinedPattern>> FpGrowthMiner::Mine(
   }
 
   // Sharded mode (parallel, or any run with a checkpoint sink):
-  // top-level conditional trees are independent; mine each header item
-  // into its own buffer, then concatenate in the sequential order so
-  // output is identical to the single-thread run. Each shard gets its
-  // own MineControl (full pattern budget); the post-merge truncation
-  // keeps the budget semantics deterministic. Units restored from a
-  // checkpoint are spliced into their slots unmined; only units that
-  // ran to completion are reported back.
-  const size_t num_headers = tree.headers().size();
-  if (sink != nullptr) sink->BeginRun(num_headers);
-  std::vector<std::vector<MinedPattern>> partial(num_headers);
+  // top-level conditional trees are independent; mine each top-level
+  // rank into its own buffer with its own scratch, then concatenate in
+  // the sequential order so output is identical to the single-thread
+  // run. Each shard gets its own MineControl (full pattern budget); the
+  // post-merge truncation keeps the budget semantics deterministic.
+  // Units restored from a checkpoint are spliced into their slots
+  // unmined; only units that ran to completion are reported back.
+  const size_t num_ranks = tree.item.size();
+  if (sink != nullptr) sink->BeginRun(num_ranks);
+  std::vector<std::vector<MinedPattern>> partial(num_ranks);
   try {
-    ParallelFor(options.num_threads, num_headers, [&](size_t i) {
+    ParallelFor(options.num_threads, num_ranks, [&](size_t i) {
       if (sink != nullptr) {
         const std::vector<MinedPattern>* restored = sink->RestoredUnit(i);
         if (restored != nullptr) {
@@ -367,12 +448,12 @@ Result<std::vector<MinedPattern>> FpGrowthMiner::Mine(
           return;
         }
       }
-      // Sequential order iterates hi descending; slot i handles that
+      // Sequential order iterates ranks descending; slot i handles that
       // position.
-      const size_t hi = num_headers - 1 - i;
       MineControl ctrl(guard);
-      MineHeaderItem(tree, hi, Itemset{}, min_count, options.max_length,
-                     &ctrl, &partial[i]);
+      Grower grower(tree, min_count, options.max_length, &ctrl, &meter,
+                    &partial[i]);
+      grower.MineRank(tree, 0, num_ranks - 1 - i);
       if (sink != nullptr && !ctrl.stopped()) {
         sink->UnitMined(i, partial[i]);
       }

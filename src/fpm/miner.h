@@ -97,10 +97,9 @@ struct MinerOptions {
   /// (enforced by tests/fpm/kernel_differential_test.cc), so this is a
   /// pure performance knob.
   fpm::KernelKind kernel = fpm::KernelKind::kAuto;
-  /// Back FP-tree nodes with the bump-pointer NodeArena (the default)
-  /// instead of per-node deque slots. Identical trees either way; the
-  /// toggle exists for the arena differential tests and as an escape
-  /// hatch.
+  /// Ignored: FP-growth has one array-backed tree layout. Kept only
+  /// because the end-to-end benchmark sets it; deletion waits for the
+  /// next benchmark-only change.
   bool use_arena = true;
 };
 

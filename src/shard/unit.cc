@@ -88,7 +88,6 @@ ShardAttemptResult RunShardAttempt(const TransactionDatabase& db,
     mopts.max_length = base.max_length;
     mopts.num_threads = base.num_threads;
     mopts.kernel = base.kernel;
-    mopts.use_arena = base.use_arena;
     mopts.guard = guard_ptr;
     mopts.stages = stages;
     mopts.checkpoint = checkpointer.get();

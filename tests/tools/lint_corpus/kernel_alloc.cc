@@ -4,8 +4,8 @@
 //
 // kernels_* translation units are pure compute over caller-owned
 // buffers: any allocation, container or lock in one is a hot-loop
-// bug. arena.h (same directory, different basename) is exempt — it
-// allocates by design.
+// bug. Other basenames in the same directory are not kernels and are
+// exempt.
 #include "fpm/kernels/kernels.h"
 
 namespace divexp {

@@ -91,7 +91,7 @@ TEST(LintLayersTest, LayerOrderMatchesTheTree) {
             LayerOf("src/fpm/fpgrowth.cc"));
   EXPECT_GT(LayerOf("src/fpm/kernels/kernels.h"),
             LayerOf("src/data/csv.cc"));
-  EXPECT_EQ(LayerOf("src/fpm/kernels/arena.h"),
+  EXPECT_EQ(LayerOf("src/fpm/kernels/kernels_internal.h"),
             LayerOf("src/fpm/kernels/kernels.h"));
   // The process-isolation layer pins above both the shard driver and
   // serve/ (it writes worker results in the artifact format) but below
@@ -207,11 +207,11 @@ TEST(LintKernelNoAllocTest, FlagsAllocTokensInKernelUnits) {
   EXPECT_EQ(diags[0].rule, kRuleKernelNoAlloc);
 }
 
-TEST(LintKernelNoAllocTest, ArenaAndOutsideFilesAreExempt) {
+TEST(LintKernelNoAllocTest, NonKernelBasenamesAndOutsideFilesAreExempt) {
   const std::string line = "std::" + (std::string("vec") + "tor") +
                            "<uint64_t> tmp(n);\n";
   for (const char* path :
-       {"src/fpm/kernels/arena.h", "src/fpm/apriori.cc",
+       {"src/fpm/kernels/tables.h", "src/fpm/apriori.cc",
         "tests/fpm/kernel_differential_test.cc"}) {
     std::vector<Diagnostic> diags;
     LintFile(path, line, SharedCatalogs(), &diags);

@@ -488,8 +488,8 @@ class FileLinter {
   // run under ResolveKernel() dispatch inside per-candidate inner
   // loops, so any allocation, lock or container use there is a
   // performance bug (and usually an aliasing one — callers own every
-  // buffer). arena.h lives in the same directory but allocates by
-  // design, so the rule keys on the "kernels" basename prefix.
+  // buffer). The rule keys on the "kernels" basename prefix, so a
+  // non-kernel header in the same directory stays outside it.
   void CheckKernelNoAlloc(const std::string& line, int lineno) {
     if (!StartsWith(path_, "src/fpm/kernels/")) return;
     const std::string base = path_.substr(path_.rfind('/') + 1);
@@ -514,8 +514,7 @@ class FileLinter {
                "'" + text +
                    "' in a kernel translation unit; kernels are pure "
                    "compute over caller-owned buffers — no allocation, "
-                   "containers or locks (hoist it to the caller or to "
-                   "fpm/kernels/arena.h)");
+                   "containers or locks (hoist it to the caller)");
           break;  // one diagnostic per token per line is enough
         }
         pos = after;
