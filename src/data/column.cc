@@ -1,7 +1,8 @@
 #include "data/column.h"
 
+#include <algorithm>
 #include <cmath>
-#include <unordered_map>
+#include <functional>
 
 #include "util/string_util.h"
 
@@ -61,23 +62,39 @@ Column Column::MakeCategorical(std::string name, std::vector<int32_t> codes,
 }
 
 Column Column::CategoricalFromStrings(
-    std::string name, const std::vector<std::string>& values) {
+    std::string name, std::span<const std::string_view> values) {
+  // Open addressing over a power-of-two table of category codes, kept
+  // at most half full; keys are views into `values`.
   std::vector<int32_t> codes;
-  std::vector<std::string> categories;
-  std::unordered_map<std::string, int32_t> index;
+  std::vector<std::string_view> keys;
+  std::vector<int32_t> slots;
+  const auto hash = std::hash<std::string_view>{};
   codes.reserve(values.size());
-  for (const std::string& v : values) {
+  for (std::string_view v : values) {
     if (v.empty()) {
       codes.push_back(-1);
       continue;
     }
-    auto [it, inserted] =
-        index.emplace(v, static_cast<int32_t>(categories.size()));
-    if (inserted) categories.push_back(v);
-    codes.push_back(it->second);
+    if (2 * (keys.size() + 1) > slots.size()) {
+      slots.assign(std::max<size_t>(16, 2 * slots.size()), -1);
+      const size_t mask = slots.size() - 1;
+      for (size_t k = 0; k < keys.size(); ++k) {
+        size_t i = hash(keys[k]) & mask;
+        while (slots[i] >= 0) i = (i + 1) & mask;
+        slots[i] = static_cast<int32_t>(k);
+      }
+    }
+    const size_t mask = slots.size() - 1;
+    size_t i = hash(v) & mask;
+    while (slots[i] >= 0 && keys[slots[i]] != v) i = (i + 1) & mask;
+    if (slots[i] < 0) {
+      slots[i] = static_cast<int32_t>(keys.size());
+      keys.push_back(v);
+    }
+    codes.push_back(slots[i]);
   }
   return MakeCategorical(std::move(name), std::move(codes),
-                         std::move(categories));
+                         std::vector<std::string>(keys.begin(), keys.end()));
 }
 
 size_t Column::size() const {

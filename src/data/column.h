@@ -8,7 +8,9 @@
 #define DIVEXP_DATA_COLUMN_H_
 
 #include <cstdint>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "util/status.h"
@@ -40,7 +42,7 @@ class Column {
   /// Builds a categorical column by dictionary-encoding raw string
   /// values in first-appearance order ("" becomes missing).
   static Column CategoricalFromStrings(
-      std::string name, const std::vector<std::string>& values);
+      std::string name, std::span<const std::string_view> values);
 
   const std::string& name() const { return name_; }
   void set_name(std::string name) { name_ = std::move(name); }

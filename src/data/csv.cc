@@ -2,98 +2,334 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <cmath>
+#include <cfloat>
+#include <cstdint>
 #include <cstdlib>
-#include <fstream>
+#include <cstring>
+#include <limits>
 #include <sstream>
+#include <span>
+#include <string>
+#include <string_view>
+#include <utility>
+#include <vector>
 
 #include "obs/stage.h"
 #include "obs/trace.h"
 #include "recovery/atomic_file.h"
 #include "util/failpoint.h"
-#include "util/string_util.h"
 
 namespace divexp {
 namespace {
 
-// Splits one CSV record honoring double-quote escaping. `pos` is
-// advanced past the record's trailing newline. `record` is the 1-based
-// record number, used in error messages. Rejects malformed input
-// (embedded NUL bytes, unterminated quoted fields) instead of silently
-// producing garbage rows.
-Result<std::vector<std::string>> ParseRecord(const std::string& text,
-                                             size_t* pos, char delim,
-                                             size_t record) {
-  std::vector<std::string> fields;
-  std::string field;
-  bool in_quotes = false;
-  size_t i = *pos;
-  for (; i < text.size(); ++i) {
-    const char ch = text[i];
-    if (ch == '\0') {
-      return Status::InvalidArgument(
-          "CSV record " + std::to_string(record) +
-          " contains a NUL byte (binary or corrupt input?)");
-    }
-    if (in_quotes) {
+// The bytes Trim strips: isspace in the "C" locale.
+bool IsSpace(char ch) { return ch == ' ' || (ch >= '\t' && ch <= '\r'); }
+
+bool IsDigit(char ch) { return ch >= '0' && ch <= '9'; }
+
+std::string_view TrimView(std::string_view s) {
+  size_t b = 0;
+  size_t e = s.size();
+  while (b < e && IsSpace(s[b])) ++b;
+  while (e > b && IsSpace(s[e - 1])) --e;
+  return s.substr(b, e - b);
+}
+
+// Splits a CSV buffer the reader owns into records in one pass. Quoted
+// fields are unescaped in place: dropping a quote or a bare '\r' only
+// ever shrinks a field, so the write cursor never overtakes the read
+// cursor and every field is a view into the buffer.
+class RecordScanner {
+ public:
+  RecordScanner(char* data, size_t size, char delim)
+      : p_(data), n_(size), delim_(delim) {}
+
+  bool at_end() const { return pos_ == n_; }
+
+  /// Consumes a '\n' at the cursor (a blank line between records).
+  bool SkipBlankLine() {
+    if (p_[pos_] != '\n') return false;
+    ++pos_;
+    return true;
+  }
+
+  /// Scans the record at the cursor, calling `on_field` with each
+  /// trimmed field, and moves the cursor past the record's '\n'.
+  /// `record` is the 1-based record number, used in error messages.
+  /// Rejects embedded NUL bytes and unterminated quoted fields.
+  template <typename OnField>
+  Status Scan(size_t record, OnField&& on_field) {
+    char* const p = p_;
+    const size_t n = n_;
+    size_t r = pos_;
+    size_t start = r;  // the current field's first byte
+    size_t w = r;      // write cursor; w < r once a byte was dropped
+    for (;;) {
+      const size_t run = PlainRun(r);
+      if (w != r) std::memmove(p + w, p + r, run);
+      r += run;
+      w += run;
+      if (r == n) break;
+      const char ch = p[r++];
+      if (ch == '\0') return NulByte(record);
       if (ch == '"') {
-        if (i + 1 < text.size() && text[i + 1] == '"') {
-          field += '"';
-          ++i;
-        } else {
-          in_quotes = false;
+        for (;;) {
+          while (r < n && p[r] != '"' && p[r] != '\0') p[w++] = p[r++];
+          if (r == n) {
+            return Status::InvalidArgument(
+                "unterminated quoted field in CSV record " +
+                std::to_string(record));
+          }
+          if (p[r] == '\0') return NulByte(record);
+          if (r + 1 < n && p[r + 1] == '"') {
+            p[w++] = '"';
+            r += 2;
+          } else {
+            ++r;
+            break;
+          }
         }
-      } else {
-        field += ch;
+      } else if (ch == delim_) {
+        on_field(TrimView(std::string_view(p + start, w - start)));
+        start = w = r;
+      } else if (ch == '\n') {
+        break;
       }
-    } else if (ch == '"') {
-      in_quotes = true;
-    } else if (ch == delim) {
-      fields.push_back(std::move(field));
-      field.clear();
-    } else if (ch == '\n') {
-      ++i;
-      break;
-    } else if (ch == '\r') {
-      // swallow; \r\n handled by the \n branch
-    } else {
-      field += ch;
+      // A bare '\r' is dropped; "\r\n" ends the record at the '\n'.
+    }
+    on_field(TrimView(std::string_view(p + start, w - start)));
+    pos_ = r;
+    return Status::OK();
+  }
+
+ private:
+  static Status NulByte(size_t record) {
+    return Status::InvalidArgument(
+        "CSV record " + std::to_string(record) +
+        " contains a NUL byte (binary or corrupt input?)");
+  }
+
+  // The number of bytes from `r` before the next delimiter, '\n',
+  // '\r', '"' or NUL.
+  size_t PlainRun(size_t r) const {
+    size_t i = r;
+    for (; i < n_; ++i) {
+      const char ch = p_[i];
+      if (ch == delim_ || ch == '\n' || ch == '\r' || ch == '"' ||
+          ch == '\0') {
+        break;
+      }
+    }
+    return i - r;
+  }
+
+  char* p_;
+  size_t n_;
+  size_t pos_ = 0;
+  char delim_;
+};
+
+// A plain decimal token `-?digits[.digits]`.
+struct Decimal {
+  bool negative = false;
+  uint64_t mantissa = 0;  // the digits as one integer; wraps past 19
+  size_t digits = 0;      // integer and fraction digits
+  size_t fraction = 0;    // fraction digits
+};
+
+bool ReadDecimal(std::string_view v, Decimal* d) {
+  size_t i = 0;
+  d->negative = !v.empty() && v[0] == '-';
+  if (d->negative) ++i;
+  const size_t int_begin = i;
+  for (; i < v.size() && IsDigit(v[i]); ++i) {
+    d->mantissa = d->mantissa * 10 + static_cast<uint64_t>(v[i] - '0');
+  }
+  if (i == int_begin) return false;
+  if (i < v.size()) {
+    if (v[i] != '.') return false;
+    const size_t frac_begin = ++i;
+    for (; i < v.size() && IsDigit(v[i]); ++i) {
+      d->mantissa = d->mantissa * 10 + static_cast<uint64_t>(v[i] - '0');
+    }
+    if (i == frac_begin || i < v.size()) return false;
+    d->fraction = i - frac_begin;
+  }
+  d->digits = i - int_begin - (d->fraction > 0 ? 1 : 0);
+  return true;
+}
+
+// An integer of at most 18 digits cannot overflow an int64.
+constexpr size_t kMaxExactIntDigits = 18;
+// A decimal of at most 15 digits is an exact double mantissa (< 2^53)
+// over an exact power of ten, so one correctly rounded division gives
+// the correctly rounded value, which is what strtod returns.
+constexpr size_t kMaxExactDoubleDigits = 15;
+constexpr double kPow10[kMaxExactDoubleDigits + 1] = {
+    1e0, 1e1, 1e2,  1e3,  1e4,  1e5,  1e6,  1e7,
+    1e8, 1e9, 1e10, 1e11, 1e12, 1e13, 1e14, 1e15};
+static_assert(FLT_EVAL_METHOD == 0,
+              "the exact decimal path needs double-precision arithmetic");
+
+// Both parsers take a non-empty `v`. Plain decimals short enough to be
+// exact are read directly; every other token goes through strtoll or
+// strtod, so the accepted grammar and every value are theirs.
+bool ParseInt(std::string_view v, int64_t* out) {
+  Decimal d;
+  if (ReadDecimal(v, &d)) {
+    if (d.fraction > 0) return false;  // strtoll would stop at the '.'
+    if (d.digits <= kMaxExactIntDigits) {
+      const auto m = static_cast<int64_t>(d.mantissa);
+      *out = d.negative ? -m : m;
+      return true;
     }
   }
-  if (in_quotes) {
-    return Status::InvalidArgument(
-        "unterminated quoted field in CSV record " +
-        std::to_string(record));
+  const std::string s(v);
+  errno = 0;
+  char* end = nullptr;
+  const long long x = std::strtoll(s.c_str(), &end, 10);
+  if (errno != 0 || end != s.c_str() + s.size()) return false;
+  *out = x;
+  return true;
+}
+
+bool ParseDouble(std::string_view v, double* out) {
+  Decimal d;
+  if (ReadDecimal(v, &d) && d.digits <= kMaxExactDoubleDigits) {
+    const double x = static_cast<double>(d.mantissa) / kPow10[d.fraction];
+    *out = d.negative ? -x : x;
+    return true;
   }
-  fields.push_back(std::move(field));
-  *pos = i;
-  return fields;
-}
-
-bool ParseInt(const std::string& s, int64_t* out) {
-  if (s.empty()) return false;
+  const std::string s(v);
   errno = 0;
   char* end = nullptr;
-  const long long v = std::strtoll(s.c_str(), &end, 10);
+  const double x = std::strtod(s.c_str(), &end);
   if (errno != 0 || end != s.c_str() + s.size()) return false;
-  *out = v;
+  *out = x;
   return true;
 }
 
-bool ParseDouble(const std::string& s, double* out) {
-  if (s.empty()) return false;
-  errno = 0;
-  char* end = nullptr;
-  const double v = std::strtod(s.c_str(), &end);
-  if (errno != 0 || end != s.c_str() + s.size()) return false;
-  *out = v;
-  return true;
+// Types a column from its trimmed, NA-mapped values ("" is missing):
+// int64 if every value is an integer and none is missing, double if
+// every present value is a number, text otherwise.
+Column MakeTypedColumn(std::string name,
+                       std::span<const std::string_view> values,
+                       bool as_categorical) {
+  bool numeric = true;
+  bool has_missing = false;
+  {
+    std::vector<int64_t> ints;
+    ints.reserve(values.size());
+    for (size_t i = 0; i < values.size() && numeric; ++i) {
+      int64_t x = 0;
+      if (values[i].empty()) {
+        has_missing = true;
+      } else {
+        numeric = ParseInt(values[i], &x);
+      }
+      ints.push_back(x);
+    }
+    if (numeric && !has_missing) {
+      return Column::MakeInt(std::move(name), std::move(ints));
+    }
+  }
+  {
+    std::vector<double> doubles;
+    doubles.reserve(values.size());
+    numeric = true;
+    for (size_t i = 0; i < values.size() && numeric; ++i) {
+      double x = std::numeric_limits<double>::quiet_NaN();
+      if (!values[i].empty()) numeric = ParseDouble(values[i], &x);
+      doubles.push_back(x);
+    }
+    if (numeric) {
+      return Column::MakeDouble(std::move(name), std::move(doubles));
+    }
+  }
+
+  if (!as_categorical) {
+    return Column::MakeString(
+        std::move(name),
+        std::vector<std::string>(values.begin(), values.end()));
+  }
+  return Column::CategoricalFromStrings(std::move(name), values);
+}
+
+// Parses the CSV text in [data, data + size), which it unescapes in
+// place.
+Result<DataFrame> ParseCsv(char* data, size_t size,
+                           const CsvOptions& options) {
+  if (size == 0) return Status::InvalidArgument("empty CSV input");
+  RecordScanner scanner(data, size, options.delimiter);
+  std::vector<std::string> names;
+  DIVEXP_RETURN_NOT_OK(scanner.Scan(
+      1, [&](std::string_view field) { names.emplace_back(field); }));
+  const size_t ncols = names.size();
+
+  // Every record but the last ends at a '\n', and a kept record holds
+  // ncols - 1 delimiter bytes, so both counts bound the rows. The views
+  // take one block, at most about two per input byte; column c holds
+  // [c * max_rows, c * max_rows + rows).
+  size_t max_rows = 1;
+  const std::string_view text(data, size);
+  for (size_t i = text.find('\n'); i != std::string_view::npos;
+       i = text.find('\n', i + 1)) {
+    ++max_rows;
+  }
+  if (ncols > 1) max_rows = std::min(max_rows, size / (ncols - 1));
+  std::vector<std::string_view> views(ncols * max_rows);
+  size_t rows = 0;
+  size_t na_max = 0;
+  for (const std::string& na : options.na_values) {
+    na_max = std::max(na_max, na.size());
+  }
+
+  size_t record = 1;
+  while (!scanner.at_end()) {
+    if (scanner.SkipBlankLine()) continue;
+    ++record;
+    size_t fields = 0;
+    bool blank = false;
+    DIVEXP_RETURN_NOT_OK(scanner.Scan(record, [&](std::string_view v) {
+      if (fields == 0) blank = v.empty();
+      if (fields < ncols) {
+        // Only a field no longer than the longest NA token can be one.
+        if (v.size() <= na_max &&
+            std::find(options.na_values.begin(), options.na_values.end(),
+                      v) != options.na_values.end()) {
+          v = {};
+        }
+        views[fields * max_rows + rows] = v;
+      }
+      ++fields;
+    }));
+    // A line of only whitespace is skipped, not read as a record.
+    if (fields == 1 && blank) continue;
+    if (fields != ncols) {
+      return Status::InvalidArgument(
+          "CSV record " + std::to_string(record) + " has " +
+          std::to_string(fields) + " fields, expected " +
+          std::to_string(ncols));
+    }
+    ++rows;
+  }
+
+  DataFrame df;
+  for (size_t c = 0; c < ncols; ++c) {
+    DIVEXP_RETURN_NOT_OK(df.AddColumn(MakeTypedColumn(
+        std::move(names[c]),
+        std::span<const std::string_view>(views.data() + c * max_rows, rows),
+        options.strings_as_categorical)));
+  }
+  return df;
 }
 
 bool NeedsQuoting(const std::string& s, char delim) {
+  // The reader drops an unquoted '\r', so a value holding one is quoted.
   return s.find(delim) != std::string::npos ||
          s.find('"') != std::string::npos ||
-         s.find('\n') != std::string::npos;
+         s.find('\n') != std::string::npos ||
+         s.find('\r') != std::string::npos;
 }
 
 std::string QuoteField(const std::string& s, char delim) {
@@ -111,98 +347,20 @@ std::string QuoteField(const std::string& s, char delim) {
 
 Result<DataFrame> ReadCsvString(const std::string& text,
                                 const CsvOptions& options) {
-  size_t pos = 0;
-  if (text.empty()) return Status::InvalidArgument("empty CSV input");
-  size_t record = 1;
-  DIVEXP_ASSIGN_OR_RETURN(
-      const std::vector<std::string> header,
-      ParseRecord(text, &pos, options.delimiter, record));
-  const size_t ncols = header.size();
-
-  std::vector<std::vector<std::string>> raw(ncols);
-  while (pos < text.size()) {
-    // Skip blank lines (e.g. trailing newline).
-    if (text[pos] == '\n') {
-      ++pos;
-      continue;
-    }
-    ++record;
-    DIVEXP_ASSIGN_OR_RETURN(
-        std::vector<std::string> rec,
-        ParseRecord(text, &pos, options.delimiter, record));
-    if (rec.size() == 1 && Trim(rec[0]).empty()) continue;
-    if (rec.size() != ncols) {
-      return Status::InvalidArgument(
-          "CSV record " + std::to_string(record) + " has " +
-          std::to_string(rec.size()) + " fields, expected " +
-          std::to_string(ncols));
-    }
-    for (size_t c = 0; c < ncols; ++c) {
-      std::string v = Trim(rec[c]);
-      for (const std::string& na : options.na_values) {
-        if (v == na) {
-          v.clear();
-          break;
-        }
-      }
-      raw[c].push_back(std::move(v));
-    }
-  }
-
-  DataFrame df;
-  for (size_t c = 0; c < ncols; ++c) {
-    const std::string name = Trim(header[c]);
-    bool all_int = true;
-    bool all_double = true;
-    for (const std::string& v : raw[c]) {
-      if (v.empty()) continue;
-      int64_t iv;
-      double dv;
-      if (!ParseInt(v, &iv)) all_int = false;
-      if (!ParseDouble(v, &dv)) {
-        all_double = false;
-        break;
-      }
-    }
-    const bool has_missing =
-        std::any_of(raw[c].begin(), raw[c].end(),
-                    [](const std::string& v) { return v.empty(); });
-    if (all_int && !has_missing) {
-      std::vector<int64_t> vals;
-      vals.reserve(raw[c].size());
-      for (const std::string& v : raw[c]) {
-        int64_t iv = 0;
-        ParseInt(v, &iv);
-        vals.push_back(iv);
-      }
-      DIVEXP_RETURN_NOT_OK(df.AddColumn(Column::MakeInt(name, vals)));
-    } else if (all_double) {
-      std::vector<double> vals;
-      vals.reserve(raw[c].size());
-      for (const std::string& v : raw[c]) {
-        double dv = std::nan("");
-        if (!v.empty()) ParseDouble(v, &dv);
-        vals.push_back(dv);
-      }
-      DIVEXP_RETURN_NOT_OK(df.AddColumn(Column::MakeDouble(name, vals)));
-    } else if (options.strings_as_categorical) {
-      DIVEXP_RETURN_NOT_OK(
-          df.AddColumn(Column::CategoricalFromStrings(name, raw[c])));
-    } else {
-      DIVEXP_RETURN_NOT_OK(df.AddColumn(Column::MakeString(name, raw[c])));
-    }
-  }
-  return df;
+  std::string buf = text;
+  return ParseCsv(buf.data(), buf.size(), options);
 }
 
 Result<DataFrame> ReadCsvFile(const std::string& path,
                               const CsvOptions& options) {
   obs::ScopedSpan span(obs::kStageCsvLoad);
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::IOError("cannot open '" + path + "'");
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return ReadCsvString(buf.str(), options);
+  Result<std::string> bytes = recovery::ReadFileToString(path);
+  // A file that cannot be opened is an IOError to CSV callers.
+  if (bytes.status().code() == StatusCode::kNotFound) {
+    return Status::IOError(bytes.status().message());
+  }
+  DIVEXP_RETURN_NOT_OK(bytes.status());
+  return ParseCsv(bytes->data(), bytes->size(), options);
 }
 
 std::string WriteCsvString(const DataFrame& df, const CsvOptions& options) {

@@ -44,22 +44,28 @@ std::vector<double> EqualWidthEdges(const std::vector<double>& values,
   return edges;
 }
 
-std::vector<double> QuantileEdges(const std::vector<double>& values,
+std::vector<double> QuantileEdges(std::vector<double> values,
                                   int num_bins) {
   DIVEXP_CHECK(num_bins >= 2);
   if (values.empty()) return {};
-  std::vector<double> sorted = values;
-  std::sort(sorted.begin(), sorted.end());
+  // Nearest-rank quantiles, selected in increasing rank order: after
+  // nth_element at rank idx, [idx, end) holds exactly the ranks >= idx,
+  // so each selection only partitions what is left. The edges equal
+  // those read off a full sort.
   std::vector<double> edges;
+  size_t lo = 0;
   for (int i = 1; i < num_bins; ++i) {
     const double q = static_cast<double>(i) / num_bins;
-    // Nearest-rank quantile on the sorted sample.
-    size_t idx = static_cast<size_t>(q * (sorted.size() - 1));
-    const double e = sorted[idx];
+    const size_t idx = static_cast<size_t>(q * (values.size() - 1));
+    std::nth_element(values.begin() + lo, values.begin() + idx,
+                     values.end());
+    lo = idx;
+    const double e = values[idx];
     if (edges.empty() || e > edges.back()) edges.push_back(e);
   }
   // An edge equal to the maximum would create an empty last bin.
-  while (!edges.empty() && edges.back() >= sorted.back()) edges.pop_back();
+  const double max = *std::max_element(values.begin() + lo, values.end());
+  while (!edges.empty() && edges.back() >= max) edges.pop_back();
   return edges;
 }
 

@@ -42,8 +42,9 @@ std::vector<double> EqualWidthEdges(const std::vector<double>& values,
 
 /// Computes up to k-1 interior edges at the 1/k, 2/k, ... quantiles
 /// (duplicates collapsed, so heavily tied data may yield fewer bins).
-std::vector<double> QuantileEdges(const std::vector<double>& values,
-                                  int num_bins);
+/// Each edge is selected with nth_element (expected linear time), not
+/// read off a sort.
+std::vector<double> QuantileEdges(std::vector<double> values, int num_bins);
 
 /// Human-readable labels for the bins induced by interior `edges`:
 /// "<=a", "(a-b]", ">b". `integral` renders edges without decimals.

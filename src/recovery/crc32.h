@@ -1,7 +1,7 @@
 // CRC32 (IEEE 802.3, reflected, polynomial 0xEDB88320) used to
-// integrity-check snapshot payloads. Table-driven, no hardware
-// dependency; matches zlib's crc32() so snapshots can be checked with
-// standard tooling.
+// integrity-check snapshot payloads, serving artifacts and shard
+// messages. Table-driven (slicing-by-8), no hardware dependency;
+// matches zlib's crc32() so files can be checked with standard tooling.
 #ifndef DIVEXP_RECOVERY_CRC32_H_
 #define DIVEXP_RECOVERY_CRC32_H_
 

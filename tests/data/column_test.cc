@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string_view>
+#include <vector>
 
 namespace divexp {
 namespace {
@@ -50,8 +52,9 @@ TEST(ColumnTest, CategoricalBasics) {
 }
 
 TEST(ColumnTest, CategoricalFromStringsFirstAppearanceOrder) {
-  Column c = Column::CategoricalFromStrings(
-      "cat", {"b", "a", "b", "", "c", "a"});
+  const std::vector<std::string_view> values = {"b", "a", "b",
+                                                "",  "c", "a"};
+  Column c = Column::CategoricalFromStrings("cat", values);
   ASSERT_EQ(c.num_categories(), 3u);
   EXPECT_EQ(c.categories()[0], "b");
   EXPECT_EQ(c.categories()[1], "a");

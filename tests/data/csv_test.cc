@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/stat.h>
+#include <unistd.h>
+
 #include <cstdio>
+#include <string>
+#include <thread>
 
 #include "recovery/atomic_file.h"
 
@@ -107,6 +112,55 @@ TEST(CsvFileTest, MissingFileIsIOError) {
   auto r = ReadCsvFile("/tmp/definitely_missing_divexp_file.csv");
   EXPECT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kIOError);
+}
+
+std::string TempPath(const std::string& stem) {
+  return "/tmp/divexp_csv_test_" + stem + "_" + std::to_string(::getpid());
+}
+
+TEST(CsvFileTest, EmptyFileIsInvalidArgument) {
+  const std::string path = TempPath("empty");
+  ASSERT_TRUE(recovery::WriteFileAtomic(path, "").ok());
+  auto r = ReadCsvFile(path);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(r.status().message(), "empty CSV input");
+  std::remove(path.c_str());
+}
+
+TEST(CsvFileTest, DirectoryReadsAsEmptyInput) {
+  // A directory opens but yields no bytes, so it fails as empty input.
+  const std::string path = TempPath("dir");
+  ASSERT_EQ(::mkdir(path.c_str(), 0700), 0);
+  auto r = ReadCsvFile(path);
+  ::rmdir(path.c_str());
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(r.status().message(), "empty CSV input");
+}
+
+TEST(CsvFileTest, ReadsFromAPipe) {
+  // A FIFO has no size up front; the text spans many pipe buffers.
+  const std::string path = TempPath("fifo");
+  ASSERT_EQ(::mkfifo(path.c_str(), 0600), 0);
+  std::string text = "n,c\n";
+  for (int i = 0; i < 20000; ++i) {
+    text += std::to_string(i) + (i % 2 ? ",odd\n" : ",even\n");
+  }
+  // A FIFO cannot be replaced atomically: the writer must stream into it.
+  std::thread writer([&] {
+    std::FILE* f = std::fopen(path.c_str(), "wb");  // lint:allow(no-raw-file-output): writes into a FIFO
+    if (f == nullptr) return;
+    std::fwrite(text.data(), 1, text.size(), f);  // lint:allow(no-raw-file-output): writes into a FIFO
+    std::fclose(f);
+  });
+  auto r = ReadCsvFile(path);
+  writer.join();
+  ::unlink(path.c_str());
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  ASSERT_EQ(r->num_rows(), 20000u);
+  EXPECT_EQ(r->Get("n").ints()[19999], 19999);
+  EXPECT_EQ(r->Get("c").ValueString(1), "odd");
 }
 
 // Hostile inputs: a malformed file must produce a diagnosable error,

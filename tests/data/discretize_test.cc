@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <vector>
+
+#include "util/random.h"
 
 namespace divexp {
 namespace {
@@ -142,6 +146,40 @@ TEST(DiscretizeAllTest, ConvertsEveryNumericColumn) {
   EXPECT_TRUE(out->Get("x").is_categorical());
   EXPECT_TRUE(out->Get("n").is_categorical());
   EXPECT_TRUE(out->Get("c").is_categorical());
+}
+
+// The definition QuantileEdges must match: nearest-rank quantiles read
+// off a full sort, ties collapsed, an edge at the maximum dropped.
+std::vector<double> SortedQuantileEdges(std::vector<double> sorted,
+                                        int num_bins) {
+  if (sorted.empty()) return {};
+  std::sort(sorted.begin(), sorted.end());
+  std::vector<double> edges;
+  for (int i = 1; i < num_bins; ++i) {
+    const double q = static_cast<double>(i) / num_bins;
+    const double e = sorted[static_cast<size_t>(q * (sorted.size() - 1))];
+    if (edges.empty() || e > edges.back()) edges.push_back(e);
+  }
+  while (!edges.empty() && edges.back() >= sorted.back()) edges.pop_back();
+  return edges;
+}
+
+TEST(QuantileEdgesTest, SelectionEqualsTheSortedDefinition) {
+  Rng rng(31);
+  for (size_t n = 1; n <= 300; ++n) {
+    // Few distinct values, so ties are heavy and land on the ranks.
+    const auto distinct =
+        static_cast<int64_t>(1 + rng.Below(std::min<size_t>(n, 20)));
+    std::vector<double> values(n);
+    for (double& v : values) {
+      v = static_cast<double>(rng.Int(-distinct, distinct)) / 2;
+    }
+    for (int bins = 2; bins <= 10; ++bins) {
+      EXPECT_EQ(QuantileEdges(values, bins),
+                SortedQuantileEdges(values, bins))
+          << "n=" << n << " bins=" << bins;
+    }
+  }
 }
 
 TEST(DiscretizePropertyTest, EveryValueLandsInItsBin) {
