@@ -31,7 +31,8 @@ const PatternTable& AdultTable() {
 
 void BM_ShapleyTopPattern(benchmark::State& state) {
   const PatternTable& table = AdultTable();
-  const Itemset items = table.row(table.TopK(1)[0]).items;
+  const ItemSpan top = table.row_items(table.TopK(1)[0]);
+  const Itemset items(top.begin(), top.end());
   for (auto _ : state) {
     auto contributions = ShapleyContributions(table, items);
     benchmark::DoNotOptimize(contributions);
@@ -69,7 +70,8 @@ BENCHMARK(BM_RedundancyPrune)->Unit(benchmark::kMillisecond);
 
 void BM_BuildLattice(benchmark::State& state) {
   const PatternTable& table = AdultTable();
-  const Itemset items = table.row(table.TopK(1)[0]).items;
+  const ItemSpan top = table.row_items(table.TopK(1)[0]);
+  const Itemset items(top.begin(), top.end());
   for (auto _ : state) {
     auto lattice = BuildLattice(table, items);
     benchmark::DoNotOptimize(lattice);

@@ -19,19 +19,18 @@ int main() {
   const EncodedDataset encoded = Encode(ds);
   const PatternTable table =
       Explore(encoded, ds, Metric::kFalsePositiveRate, 0.05);
-  const PatternRow& root = table.row(*table.Find(Itemset{}));
+  const OutcomeCounts root = table.counts(*table.Find(Itemset{}));
 
   Rng rng(2027);
   Stopwatch sw;
   size_t agree = 0, bayes_only = 0, boot_only = 0, neither = 0;
   BootstrapOptions bopts;
   for (size_t i = 0; i < table.size(); ++i) {
-    const PatternRow& row = table.row(i);
-    if (row.items.empty()) continue;
-    const bool bayes_sig = row.t >= 2.0;
+    if (table.row_items(i).empty()) continue;
+    const bool bayes_sig = table.t(i) >= 2.0;
+    const OutcomeCounts counts = table.counts(i);
     const BootstrapCi ci = BootstrapDivergenceCi(
-        row.counts.t, row.counts.f, root.counts.t, root.counts.f, &rng,
-        bopts);
+        counts.t, counts.f, root.t, root.f, &rng, bopts);
     const bool boot_sig = !ci.Contains(0.0);
     if (bayes_sig && boot_sig) {
       ++agree;

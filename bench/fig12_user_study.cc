@@ -201,8 +201,8 @@ int main() {
   std::printf("DivExplorer top-6 FPR itemsets shown to group 2:\n");
   for (size_t i : top6) {
     std::printf("  %-45s d=%+.3f\n",
-                table->ItemsetName(table->row(i).items).c_str(),
-                table->row(i).divergence);
+                ItemsetName(table->catalog(), table->row_items(i)).c_str(),
+                table->divergence(i));
   }
   HitTally g2;
   Rng g2_rng(1);
@@ -210,7 +210,9 @@ int main() {
     std::vector<Itemset> sel;
     const size_t drop = g2_rng.Below(top6.size());
     for (size_t i = 0; i < top6.size(); ++i) {
-      if (i != drop) sel.push_back(table->row(top6[i]).items);
+      if (i == drop) continue;
+      const ItemSpan items = table->row_items(top6[i]);
+      sel.emplace_back(items.begin(), items.end());
     }
     g2.Score(sel, item_age, item_charge);
   }

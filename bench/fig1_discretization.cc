@@ -25,10 +25,9 @@ void PrintPriorItems(const PatternTable& table) {
                   catalog.ItemName(id).c_str());
       continue;
     }
-    const PatternRow& row = table.row(*idx);
     std::printf("  %-14s d_FPR=%+.3f  sup=%.2f  t=%.1f\n",
-                catalog.ItemName(id).c_str(), row.divergence, row.support,
-                row.t);
+                catalog.ItemName(id).c_str(), table.divergence(*idx),
+                table.support(*idx), table.t(*idx));
   }
 }
 

@@ -21,13 +21,14 @@ int main() {
     const PatternTable table = Explore(encoded, ds, metric, 0.05);
     const auto top = table.TopK(1);
     if (top.empty()) continue;
-    const PatternRow& row = table.row(top[0]);
-    auto contributions = ShapleyContributions(table, row.items);
+    const ItemSpan top_items = table.row_items(top[0]);
+    const Itemset items(top_items.begin(), top_items.end());
+    auto contributions = ShapleyContributions(table, items);
     if (!contributions.ok()) return 1;
     std::printf("(%c) top %s pattern: [%s]  D=%+.3f\n",
                 metric == Metric::kFalsePositiveRate ? 'a' : 'b',
                 MetricName(metric),
-                table.ItemsetName(row.items).c_str(), row.divergence);
+                table.ItemsetName(items).c_str(), table.divergence(top[0]));
     std::printf("%s\n",
                 FormatContributions(table, *contributions).c_str());
   }

@@ -1,13 +1,17 @@
 // Experiment PP — divergence post-pass A/B: the lattice-indexed,
 // allocation-free ComputeGlobalItemDivergence against the pre-index
 // reference path (one temporary itemset + hash lookup per
-// (pattern, item)), plus the parallel pattern-table build, on the
-// synthetic COMPAS-scale table. Emits BENCH_postpass.json.
+// (pattern, item)), plus the parallel pattern-table build, the
+// corrective-item scan (bounded top 10 and full ranking) and the
+// artifact serialization, on the synthetic COMPAS-scale table. Emits
+// BENCH_postpass.json.
 //
 // usage: bench_postpass [--dataset=compas] [--support=0.01]
 //          [--threads=N] [--repeat=R] [--smoke] [--check-speedup=X]
 //   --smoke          tiny-input CI mode: high support, and exit 1 if
 //                    the indexed path is slower than the legacy path
+// Every mode exits 1 if the two global-divergence paths disagree or the
+// top-10 corrective items are not the full ranking's first 10.
 //   --check-speedup  exit 1 if legacy/indexed(threads=N) < X
 #include <algorithm>
 #include <chrono>
@@ -19,9 +23,11 @@
 #include <vector>
 
 #include "bench_common.h"
+#include "core/corrective.h"
 #include "core/global_divergence.h"
 #include "core/outcome.h"
 #include "fpm/miner.h"
+#include "serve/artifact.h"
 #include "util/string_util.h"
 
 using namespace divexp;
@@ -120,6 +126,9 @@ int main(int argc, char** argv) {
                  mined.status().ToString().c_str());
     return 1;
   }
+  // Canonical order, as the explorer hands patterns to Create; the
+  // artifact writer requires it.
+  SortPatterns(&*mined);
   const uint64_t patterns = mined->size() > 0 ? mined->size() - 1 : 0;
   std::printf("%s s=%s: %llu patterns, threads=%zu, repeat=%zu\n",
               dataset.c_str(), FormatDouble(support, 3).c_str(),
@@ -195,6 +204,51 @@ int main(int argc, char** argv) {
     }
     if (t == threads && t == 1) break;
   }
+
+  // Corrective items: the bounded top-10 selection and the full
+  // ranking. The top 10 must be the full ranking's first 10.
+  CorrectiveOptions top10_options;
+  top10_options.top_k = 10;
+  std::vector<CorrectiveItem> top10;
+  const double top10_ms = MinMillis(
+      repeat, [&] { top10 = FindCorrectiveItems(table, top10_options); });
+  std::vector<CorrectiveItem> all;
+  const double all_ms =
+      MinMillis(repeat, [&] { all = FindCorrectiveItems(table); });
+  Record("postpass/corrective/top10", dataset, support, top10_ms, patterns);
+  Record("postpass/corrective/all", dataset, support, all_ms, patterns);
+  std::printf("  corrective items (top 10):         %s ms\n",
+              FormatDouble(top10_ms, 3).c_str());
+  std::printf("  corrective items (all %zu):     %s ms\n", all.size(),
+              FormatDouble(all_ms, 3).c_str());
+  const size_t prefix = std::min<size_t>(10, all.size());
+  bool same_prefix = top10.size() == prefix;
+  for (size_t i = 0; same_prefix && i < prefix; ++i) {
+    same_prefix = top10[i].base == all[i].base &&
+                  top10[i].item == all[i].item &&
+                  top10[i].factor == all[i].factor;
+  }
+  if (!same_prefix) {
+    std::fprintf(stderr,
+                 "FAIL: the top-10 corrective items are not the first 10 "
+                 "of the full ranking\n");
+    return 1;
+  }
+
+  // Artifact serialization: header, CRCs and one copy per column.
+  size_t artifact_bytes = 0;
+  const double serialize_ms = MinMillis(repeat, [&] {
+    auto bytes = serve::SerializePatternTableArtifact(table);
+    if (!bytes.ok()) {
+      std::fprintf(stderr, "serialize failed: %s\n",
+                   bytes.status().ToString().c_str());
+      std::exit(1);
+    }
+    artifact_bytes = bytes->size();
+  });
+  Record("postpass/serialize", dataset, support, serialize_ms, patterns);
+  std::printf("  serialize artifact (%zu bytes): %s ms\n", artifact_bytes,
+              FormatDouble(serialize_ms, 3).c_str());
 
   const double speedup =
       indexed_best_ms > 0 ? legacy_ms / indexed_best_ms : 0.0;

@@ -40,8 +40,8 @@ int main() {
               FormatPatternRows(table, top, "d_FPR").c_str());
 
   bool triples_on_top = top.size() >= 2 &&
-                        table.row(top[0]).items.size() == 3 &&
-                        table.row(top[1]).items.size() == 3;
+                        table.row_items(top[0]).size() == 3 &&
+                        table.row_items(top[1]).size() == 3;
   std::printf("true sources (a=b=c) ranked first: %s (paper: yes)\n\n",
               triples_on_top ? "yes" : "no");
 

@@ -26,10 +26,9 @@ void PrintPattern(const PatternTable& table,
                 table.ItemsetName(*items).c_str(), metric);
     return;
   }
-  const PatternRow& row = table.row(*idx);
   std::printf("  %-55s %s=%.3f (D=%+.3f, sup=%.2f)\n",
-              table.ItemsetName(*items).c_str(), metric, row.rate,
-              row.divergence, row.support);
+              table.ItemsetName(*items).c_str(), metric, table.rate(*idx),
+              table.divergence(*idx), table.support(*idx));
 }
 
 }  // namespace

@@ -28,13 +28,14 @@ void AccumulateGlobalReference(const PatternTable& table,
                                const std::vector<long double>& fact,
                                size_t num_attrs,
                                std::vector<GlobalItemDivergence>* out) {
-  for (const PatternRow& row : table.rows()) {
-    const Itemset& k = row.items;
-    if (k.empty()) continue;
+  for (size_t i = 0; i < table.size(); ++i) {
+    const ItemSpan items = table.row_items(i);
+    if (items.empty()) continue;
+    const Itemset k(items.begin(), items.end());
     const size_t b = k.size() - 1;  // |B| = |J| for J = K \ {α}
     // Π over B ∪ attr(α) equals the product over all attributes of K.
     const long double denom =
-        fact[num_attrs] * DomainProduct(table.catalog(), k);
+        fact[num_attrs] * DomainProduct(table.catalog(), items);
     const long double weight =
         fact[b] * fact[num_attrs - b - 1] / denom;
     for (uint32_t alpha : k) {
@@ -44,7 +45,7 @@ void AccumulateGlobalReference(const PatternTable& table,
       // a corrupt table.
       DIVEXP_CHECK(dj.ok());
       (*out)[alpha].global += static_cast<double>(
-          weight * (row.divergence - *dj));
+          weight * (table.divergence(i) - *dj));
     }
   }
 }
@@ -62,7 +63,7 @@ std::vector<GlobalItemDivergence> ComputeGlobalItemDivergence(
   for (uint32_t id = 0; id < catalog.num_items(); ++id) {
     out[id].item = id;
     if (auto idx = table.Find(ItemSpan(&id, 1)); idx.has_value()) {
-      out[id].individual = table.row(*idx).divergence;
+      out[id].individual = table.divergence(*idx);
     }
   }
   if (!options.use_lattice_index) {
@@ -86,9 +87,9 @@ std::vector<GlobalItemDivergence> ComputeGlobalItemDivergence(
       [&](size_t chunk, size_t begin, size_t end) {
         std::vector<double>& slots = acc[chunk];
         for (size_t i = begin; i < end; ++i) {
-          const PatternRow& row = table.row(i);
-          const ItemSpan k(row.items);
+          const ItemSpan k = table.row_items(i);
           if (k.empty()) continue;
+          const double dk = table.divergence(i);
           const size_t b = k.size() - 1;
           const long double denom =
               fact[num_attrs] * DomainProduct(catalog, k);
@@ -99,9 +100,8 @@ std::vector<GlobalItemDivergence> ComputeGlobalItemDivergence(
             // kNoLink: the subset was dropped by a guard truncation —
             // skip the contribution (the reference path would abort).
             if (links[j] == PatternTable::kNoLink) continue;
-            const double dj = table.row(links[j]).divergence;
-            slots[k[j]] += static_cast<double>(
-                weight * (row.divergence - dj));
+            const double dj = table.divergence(links[j]);
+            slots[k[j]] += static_cast<double>(weight * (dk - dj));
           }
         }
       });
@@ -129,12 +129,14 @@ Result<double> GlobalItemsetDivergence(const PatternTable& table,
 
   long double total = 0.0L;
   for (size_t i = 0; i < table.size(); ++i) {
-    const PatternRow& row = table.row(i);
-    const Itemset& k = row.items;
-    if (k.size() < i_len || !IsSubset(itemset, k)) continue;
+    const ItemSpan k = table.row_items(i);
+    if (k.size() < i_len ||
+        !std::includes(k.begin(), k.end(), itemset.begin(), itemset.end())) {
+      continue;
+    }
     const size_t b = k.size() - i_len;  // |B| = |J|
     const long double denom =
-        fact[num_attrs] * DomainProduct(catalog, ItemSpan(k));
+        fact[num_attrs] * DomainProduct(catalog, k);
     const long double weight =
         fact[b] * fact[num_attrs - b - i_len] / denom;
     // Resolve J = K \ I by chasing one lattice link per item of I
@@ -142,7 +144,7 @@ Result<double> GlobalItemsetDivergence(const PatternTable& table,
     size_t cur = i;
     bool resolved = true;
     for (uint32_t alpha : itemset) {
-      const Itemset& cur_items = table.row(cur).items;
+      const ItemSpan cur_items = table.row_items(cur);
       const auto pos = std::lower_bound(cur_items.begin(),
                                         cur_items.end(), alpha);
       DIVEXP_CHECK(pos != cur_items.end() && *pos == alpha);
@@ -156,9 +158,9 @@ Result<double> GlobalItemsetDivergence(const PatternTable& table,
     }
     if (!resolved) {
       return Status::NotFound("subset dropped by truncation under " +
-                              ItemsetDebugString(k));
+                              ItemsetDebugString(Itemset(k.begin(), k.end())));
     }
-    total += weight * (row.divergence - table.row(cur).divergence);
+    total += weight * (table.divergence(i) - table.divergence(cur));
   }
   return static_cast<double>(total);
 }

@@ -1,6 +1,7 @@
 #include "core/pattern.h"
 
 #include <algorithm>
+#include <bit>
 
 #include "obs/trace.h"
 #include "stats/beta.h"
@@ -10,12 +11,15 @@
 namespace divexp {
 namespace {
 
-// Actual heap + inline footprint of one table row: the row struct, the
-// itemset's heap buffer, and its slot in the flat subset-link array.
-uint64_t RowFootprintBytes(const PatternRow& row) {
-  return sizeof(PatternRow) +
-         row.items.capacity() * sizeof(uint32_t) +  // items heap buffer
-         row.items.size() * sizeof(uint32_t);       // subset-link slots
+// Fibonacci hashing: ItemsetHash mixes weakly into its low bits, so the
+// slot comes from the top bits of one multiply.
+size_t SlotOf(size_t hash, int shift) {
+  return static_cast<size_t>((static_cast<uint64_t>(hash) *
+                              0x9E3779B97F4A7C15ull) >> shift);
+}
+
+int IndexShift(size_t slots) {
+  return 64 - std::countr_zero(static_cast<uint64_t>(slots));
 }
 
 }  // namespace
@@ -54,25 +58,34 @@ Result<PatternTable> PatternTable::Create(std::vector<MinedPattern> mined,
   table.global_mean_ = global_post.mean;
   table.global_variance_ = global_post.variance;
 
-  table.rows_.reserve(mined.size());
-  table.index_.reserve(mined.size());
-  for (MinedPattern& p : mined) {
-    PatternRow row;
-    row.counts = p.counts;
-    row.items = std::move(p.items);
-    // The first row (the empty itemset) is always kept so a truncated
-    // table still carries the global rate.
-    if (enforce && !table.rows_.empty() &&
-        (!guard->Tick() || !guard->AddMemory(RowFootprintBytes(row)))) {
+  // Rows are kept in input order until the guard trips. The first row
+  // (the empty itemset) is always kept so a truncated table still
+  // carries the global rate.
+  size_t n = 0;
+  size_t total_items = 0;
+  for (const MinedPattern& p : mined) {
+    if (enforce && n > 0 &&
+        (!guard->Tick() || !guard->AddMemory(RowBytes(p.items.size())))) {
       break;  // partial table; the guard has latched the breach
     }
-    const auto [it, inserted] =
-        table.index_.emplace(row.items, table.rows_.size());
-    if (!inserted) {
-      return Status::InvalidArgument("duplicate itemset in mined patterns");
-    }
-    table.rows_.push_back(std::move(row));
+    total_items += p.items.size();
+    ++n;
   }
+  table.items_.reserve(total_items);
+  table.offsets_.assign(n + 1, 0);
+  table.tallies_.resize(kTalliesPerRow * n);
+  for (size_t i = 0; i < n; ++i) {
+    MinedPattern& p = mined[i];
+    table.items_.insert(table.items_.end(), p.items.begin(), p.items.end());
+    table.offsets_[i + 1] = table.items_.size();
+    uint64_t* tallies = table.tallies_.data() + kTalliesPerRow * i;
+    tallies[0] = p.counts.t;
+    tallies[1] = p.counts.f;
+    tallies[2] = p.counts.bot;
+    Itemset().swap(p.items);  // release as we go: one copy resident
+  }
+  std::vector<MinedPattern>().swap(mined);
+  DIVEXP_RETURN_NOT_OK(table.BuildIndex());
 
   // Post-index pass: per-row stats (Beta posterior + Welch t) and the
   // immediate-subset lattice links. Both are pure per-row computations
@@ -80,29 +93,24 @@ Result<PatternTable> PatternTable::Create(std::vector<MinedPattern> mined,
   // identical across thread counts.
   obs::StageTimer timer(options.stages, obs::kStagePostIndex);
   obs::ScopedSpan span(obs::kStagePostIndex);
-  const size_t n = table.rows_.size();
   const double denom =
       num_rows == 0 ? 1.0 : static_cast<double>(num_rows);
-
-  table.link_offsets_.resize(n + 1, 0);
-  for (size_t i = 0; i < n; ++i) {
-    table.link_offsets_[i + 1] =
-        table.link_offsets_[i] + table.rows_[i].items.size();
-  }
-  table.subset_links_.assign(table.link_offsets_[n], kNoLink);
+  table.stats_.resize(kStatsPerRow * n);
+  table.subset_links_.assign(total_items, kNoLink);
 
   ParallelFor(options.num_threads, n, [&table, denom](size_t i) {
-    PatternRow& row = table.rows_[i];
-    row.support = static_cast<double>(row.counts.total()) / denom;
-    row.rate = row.counts.PositiveRate();
-    row.divergence = row.rate - table.global_rate_;
-    const BetaPosterior post =
-        BetaPosteriorFromCounts(row.counts.t, row.counts.f);
-    row.t = WelchTFromPosteriors(post.mean, post.variance,
-                                 table.global_mean_,
-                                 table.global_variance_);
-    const ItemSpan items(row.items);
-    uint32_t* links = table.subset_links_.data() + table.link_offsets_[i];
+    const OutcomeCounts counts = table.counts(i);
+    double* stats = table.stats_.data() + kStatsPerRow * i;
+    const double rate = counts.PositiveRate();
+    stats[kStatSupport] = static_cast<double>(counts.total()) / denom;
+    stats[kStatRate] = rate;
+    stats[kStatDivergence] = rate - table.global_rate_;
+    const BetaPosterior post = BetaPosteriorFromCounts(counts.t, counts.f);
+    stats[kStatT] =
+        WelchTFromPosteriors(post.mean, post.variance, table.global_mean_,
+                             table.global_variance_);
+    const ItemSpan items = table.row_items(i);
+    uint32_t* links = table.subset_links_.data() + table.offsets_[i];
     for (size_t j = 0; j < items.size(); ++j) {
       // kNoLink stays only when a guard truncation dropped the subset.
       const auto sub = table.Find(ItemsetSkipView{items, j});
@@ -114,22 +122,56 @@ Result<PatternTable> PatternTable::Create(std::vector<MinedPattern> mined,
   return table;
 }
 
-std::optional<size_t> PatternTable::Find(const Itemset& items) const {
-  auto it = index_.find(items);
-  if (it == index_.end()) return std::nullopt;
-  return it->second;
+Status PatternTable::BuildIndex() {
+  const size_t n = size();
+  size_t slots = 2;
+  while (slots < 2 * n) slots *= 2;
+  index_.assign(slots, kNoLink);
+  const size_t mask = slots - 1;
+  const int shift = IndexShift(slots);
+  for (size_t r = 0; r < n; ++r) {
+    const ItemSpan items = row_items(r);
+    size_t s = SlotOf(ItemsetHash{}(items), shift);
+    for (; index_[s] != kNoLink; s = (s + 1) & mask) {
+      if (ItemsetEq{}(row_items(index_[s]), items)) {
+        return Status::InvalidArgument(
+            "duplicate itemset in mined patterns");
+      }
+    }
+    index_[s] = static_cast<uint32_t>(r);
+  }
+  return Status::OK();
+}
+
+template <typename Key>
+std::optional<size_t> PatternTable::Probe(const Key& key) const {
+  if (index_.empty()) return std::nullopt;
+  const size_t mask = index_.size() - 1;
+  for (size_t s = SlotOf(ItemsetHash{}(key), IndexShift(index_.size()));
+       index_[s] != kNoLink; s = (s + 1) & mask) {
+    if (ItemsetEq{}(row_items(index_[s]), key)) return index_[s];
+  }
+  return std::nullopt;
 }
 
 std::optional<size_t> PatternTable::Find(ItemSpan items) const {
-  auto it = index_.find(items);
-  if (it == index_.end()) return std::nullopt;
-  return it->second;
+  return Probe(items);
 }
 
 std::optional<size_t> PatternTable::Find(const ItemsetSkipView& view) const {
-  auto it = index_.find(view);
-  if (it == index_.end()) return std::nullopt;
-  return it->second;
+  return Probe(view);
+}
+
+PatternRow PatternTable::row(size_t i) const {
+  const ItemSpan items = row_items(i);
+  PatternRow out;
+  out.items.assign(items.begin(), items.end());
+  out.counts = counts(i);
+  out.support = support(i);
+  out.rate = rate(i);
+  out.divergence = divergence(i);
+  out.t = t(i);
+  return out;
 }
 
 Result<double> PatternTable::Divergence(const Itemset& items) const {
@@ -138,13 +180,13 @@ Result<double> PatternTable::Divergence(const Itemset& items) const {
     return Status::NotFound("itemset not frequent: " +
                             ItemsetDebugString(items));
   }
-  return rows_[*idx].divergence;
+  return divergence(*idx);
 }
 
 std::vector<size_t> PatternTable::Rank(RankKey key,
                                        bool descending) const {
   TopKQuery query;
-  query.k = rows_.size();
+  query.k = size();
   query.key = key;
   query.descending = descending;
   return TopKRows(*this, query).value();

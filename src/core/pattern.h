@@ -4,11 +4,19 @@
 // functions over this table — the payoff of the paper's complete
 // exploration.
 //
-// The table carries a one-time *lattice index*: for each row K, the row
-// indices of its |K| immediate subsets K \ {α}, stored inline in one
-// flat array. The divergence post-pass walks these integer links
-// instead of materializing temporary itemsets and re-hashing them (see
-// docs/performance.md).
+// Storage is columnar, in the artifact's own layout
+// (core/table_columns.h): one flat items buffer and one offsets array,
+// then 3 tallies and 4 statistics per row, and the *lattice index* —
+// for each row K, the row indices of its |K| immediate subsets
+// K \ {α}, aligned with K's items so the one offsets array serves both.
+// The divergence post-pass walks these integer links instead of
+// materializing temporary itemsets and re-hashing them (see
+// docs/performance.md). No row owns a heap object.
+//
+// Find is a flat open-addressing hash index: a power-of-two array of
+// row ids (at least 2 slots per row), linear probing, keyed by
+// ItemsetHash and compared against the row's items in place. It copies
+// no key, so lookups stay O(1) whatever the row order.
 //
 // The read-side analyses (top-k here, lattice.h, shapley.h,
 // corrective.h, table_fingerprint.h) are function templates over a
@@ -34,10 +42,10 @@
 #include <algorithm>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
+#include "core/table_columns.h"
 #include "data/encoder.h"
 #include "fpm/itemset.h"
 #include "fpm/miner.h"
@@ -47,7 +55,7 @@
 
 namespace divexp {
 
-/// One row of the pattern table.
+/// A copy of one row of the pattern table (PatternTable::row).
 struct PatternRow {
   Itemset items;
   OutcomeCounts counts;
@@ -93,9 +101,26 @@ class PatternTable {
                                      RunGuard* guard = nullptr,
                                      const PatternTableOptions& options = {});
 
-  size_t size() const { return rows_.size(); }
-  const PatternRow& row(size_t i) const { return rows_[i]; }
-  const std::vector<PatternRow>& rows() const { return rows_; }
+  size_t size() const { return offsets_.empty() ? 0 : offsets_.size() - 1; }
+
+  /// A by-value copy of row i. The read surface below is the API; this
+  /// remains until the benchmark's sources move to it (ROADMAP), and for
+  /// tests.
+  PatternRow row(size_t i) const;
+
+  /// Guard charge of one row of `num_items` items: its items and links,
+  /// its offset, tallies and statistics, and two index slots.
+  static constexpr uint64_t RowBytes(size_t num_items) {
+    return num_items * 2 * sizeof(uint32_t) + sizeof(uint64_t) +
+           kTalliesPerRow * sizeof(uint64_t) +
+           kStatsPerRow * sizeof(double) + 2 * sizeof(uint32_t);
+  }
+
+  /// The columns, as the artifact writer copies them.
+  TableColumns columns() const {
+    return TableColumns{items_, offsets_, tallies_, stats_, subset_links_,
+                        offsets_};
+  }
 
   const ItemCatalog& catalog() const { return catalog_; }
   size_t num_dataset_rows() const { return num_dataset_rows_; }
@@ -108,10 +133,8 @@ class PatternTable {
   double global_mean() const { return global_mean_; }
   double global_variance() const { return global_variance_; }
 
-  /// Index of an itemset, if frequent.
-  std::optional<size_t> Find(const Itemset& items) const;
-
-  /// Heterogeneous lookup: no Itemset is materialized for the query.
+  /// Index of an itemset, if frequent. No Itemset is materialized
+  /// for the query.
   std::optional<size_t> Find(ItemSpan items) const;
 
   /// Lookup of the immediate subset row(i).items \ {items[skip]}
@@ -126,20 +149,23 @@ class PatternTable {
   Result<double> Divergence(const Itemset& items) const;
 
   // The table read surface (see the file comment).
-  ItemSpan row_items(size_t i) const { return ItemSpan(rows_[i].items); }
+  ItemSpan row_items(size_t i) const {
+    return ItemSpan(items_).subspan(offsets_[i],
+                                    offsets_[i + 1] - offsets_[i]);
+  }
   /// Row indices of row i's immediate subsets, aligned with
   /// row_items(i): row_links(i)[j] is the row of items \ {items[j]},
   /// or kNoLink if that subset was dropped by a guard truncation. Empty
   /// span for the empty itemset.
   std::span<const uint32_t> row_links(size_t i) const {
     return std::span<const uint32_t>(subset_links_)
-        .subspan(link_offsets_[i], link_offsets_[i + 1] - link_offsets_[i]);
+        .subspan(offsets_[i], offsets_[i + 1] - offsets_[i]);
   }
-  const OutcomeCounts& counts(size_t i) const { return rows_[i].counts; }
-  double support(size_t i) const { return rows_[i].support; }
-  double rate(size_t i) const { return rows_[i].rate; }
-  double divergence(size_t i) const { return rows_[i].divergence; }
-  double t(size_t i) const { return rows_[i].t; }
+  OutcomeCounts counts(size_t i) const { return columns().counts(i); }
+  double support(size_t i) const { return columns().support(i); }
+  double rate(size_t i) const { return columns().rate(i); }
+  double divergence(size_t i) const { return columns().divergence(i); }
+  double t(size_t i) const { return columns().t(i); }
   /// An in-memory table is consistent by construction.
   bool row_ok(size_t) const { return true; }
 
@@ -174,12 +200,21 @@ class PatternTable {
       const std::vector<std::pair<std::string, std::string>>& items) const;
 
  private:
-  std::vector<PatternRow> rows_;
-  std::unordered_map<Itemset, size_t, ItemsetHash, ItemsetEq> index_;
-  /// Flat immediate-subset links; row i owns
-  /// [link_offsets_[i], link_offsets_[i+1]).
+  /// Fills index_ with rows [0, size()); InvalidArgument on a duplicate.
+  Status BuildIndex();
+  template <typename Key>
+  std::optional<size_t> Probe(const Key& key) const;
+
+  // The columns (core/table_columns.h); offsets_ serves items_ and
+  // subset_links_ alike.
+  std::vector<uint32_t> items_;
+  std::vector<uint64_t> offsets_;
+  std::vector<uint64_t> tallies_;
+  std::vector<double> stats_;
   std::vector<uint32_t> subset_links_;
-  std::vector<size_t> link_offsets_;
+  /// Open-addressing slots holding row ids, kNoLink when empty; the
+  /// size is a power of two, at least twice the row count.
+  std::vector<uint32_t> index_;
   ItemCatalog catalog_;
   size_t num_dataset_rows_ = 0;
   double global_rate_ = 0.0;

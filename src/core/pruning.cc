@@ -13,16 +13,15 @@ std::vector<size_t> RedundancyPrune(const PatternTable& table,
   obs::ScopedSpan span(obs::kStagePrune);
   std::vector<size_t> kept;
   for (size_t i = 0; i < table.size(); ++i) {
-    const PatternRow& row = table.row(i);
-    if (row.items.empty()) continue;
+    if (table.row_items(i).empty()) continue;
+    const double divergence = table.divergence(i);
     const std::span<const uint32_t> links = table.row_links(i);
     bool redundant = false;
     for (uint32_t link : links) {
       // kNoLink: subset dropped by a guard truncation — the comparison
       // is unavailable, so it cannot prove the pattern redundant.
       if (link == PatternTable::kNoLink) continue;
-      if (std::fabs(row.divergence - table.row(link).divergence) <=
-          epsilon) {
+      if (std::fabs(divergence - table.divergence(link)) <= epsilon) {
         redundant = true;
         break;
       }

@@ -23,18 +23,17 @@ std::string FormatPatternRows(const PatternTable& table,
                               const std::string& delta_label) {
   size_t name_width = 7;
   for (size_t i : indices) {
-    name_width =
-        std::max(name_width, table.ItemsetName(table.row(i).items).size());
+    name_width = std::max(
+        name_width, ItemsetName(table.catalog(), table.row_items(i)).size());
   }
   std::ostringstream os;
   os << Pad("Itemset", name_width) << " | " << Pad("Sup", 5) << " | "
      << Pad(delta_label, 8) << " | " << Pad("t", 6) << "\n";
   for (size_t i : indices) {
-    const PatternRow& r = table.row(i);
-    os << Pad(table.ItemsetName(r.items), name_width) << " | "
-       << Pad(FormatDouble(r.support, 2), 5, true) << " | "
-       << Pad(FormatDouble(r.divergence, 3), 8, true) << " | "
-       << Pad(FormatDouble(r.t, 1), 6, true) << "\n";
+    os << Pad(ItemsetName(table.catalog(), table.row_items(i)), name_width)
+       << " | " << Pad(FormatDouble(table.support(i), 2), 5, true) << " | "
+       << Pad(FormatDouble(table.divergence(i), 3), 8, true) << " | "
+       << Pad(FormatDouble(table.t(i), 1), 6, true) << "\n";
   }
   return os.str();
 }

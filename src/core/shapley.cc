@@ -11,7 +11,7 @@ Result<double> MarginalContribution(const PatternTable& table,
     return Status::NotFound("itemset not frequent: " +
                             ItemsetDebugString(items));
   }
-  const Itemset& k = table.row(*row_idx).items;
+  const ItemSpan k = table.row_items(*row_idx);
   const auto pos = std::lower_bound(k.begin(), k.end(), alpha);
   if (pos == k.end() || *pos != alpha) {
     return Status::NotFound("item not in itemset: " +
@@ -23,7 +23,7 @@ Result<double> MarginalContribution(const PatternTable& table,
     return Status::NotFound("subset dropped by truncation under " +
                             ItemsetDebugString(items));
   }
-  return table.row(*row_idx).divergence - table.row(link).divergence;
+  return table.divergence(*row_idx) - table.divergence(link);
 }
 
 }  // namespace divexp

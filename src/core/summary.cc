@@ -23,16 +23,16 @@ void PatternTableSection(const PatternTable& table, Metric metric,
   os << "| pattern | support | divergence | t |\n";
   os << "|---|---|---|---|\n";
   for (size_t i : top) {
-    const PatternRow& row = table.row(i);
-    os << "| " << table.ItemsetName(row.items) << " | "
-       << FormatDouble(row.support, 2) << " | "
-       << FormatDouble(row.divergence, 3) << " | "
-       << FormatDouble(row.t, 1) << " |\n";
+    os << "| " << ItemsetName(table.catalog(), table.row_items(i)) << " | "
+       << FormatDouble(table.support(i), 2) << " | "
+       << FormatDouble(table.divergence(i), 3) << " | "
+       << FormatDouble(table.t(i), 1) << " |\n";
   }
   os << "\n";
 
   if (!top.empty()) {
-    const Itemset& worst = table.row(top[0]).items;
+    const ItemSpan top_items = table.row_items(top[0]);
+    const Itemset worst(top_items.begin(), top_items.end());
     auto contributions = ShapleyContributions(table, worst);
     if (contributions.ok()) {
       os << "Item contributions to the top pattern ["

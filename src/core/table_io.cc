@@ -17,9 +17,9 @@ std::string WritePatternTableCsv(const PatternTable& table) {
   os << "itemset,length,support,t_count,f_count,bot_count,rate,"
         "divergence,t_stat\n";
   for (size_t i = 0; i < table.size(); ++i) {
-    const PatternRow& row = table.row(i);
+    const ItemSpan items = table.row_items(i);
     std::vector<std::string> parts;
-    for (uint32_t id : row.items) {
+    for (uint32_t id : items) {
       parts.push_back(table.catalog().ItemName(id));
     }
     std::string name = Join(parts, " AND ");
@@ -34,12 +34,13 @@ std::string WritePatternTableCsv(const PatternTable& table) {
       quoted += '"';
       name = std::move(quoted);
     }
-    os << name << ',' << row.items.size() << ','
-       << FormatDouble(row.support, 9) << ',' << row.counts.t << ','
-       << row.counts.f << ',' << row.counts.bot << ','
-       << FormatDouble(row.rate, 9) << ','
-       << FormatDouble(row.divergence, 9) << ','
-       << FormatDouble(row.t, 6) << '\n';
+    const OutcomeCounts counts = table.counts(i);
+    os << name << ',' << items.size() << ','
+       << FormatDouble(table.support(i), 9) << ',' << counts.t << ','
+       << counts.f << ',' << counts.bot << ','
+       << FormatDouble(table.rate(i), 9) << ','
+       << FormatDouble(table.divergence(i), 9) << ','
+       << FormatDouble(table.t(i), 6) << '\n';
   }
   return os.str();
 }

@@ -107,7 +107,7 @@ struct ItemsetEq {
   bool operator()(ItemSpan a, const Itemset& b) const {
     return (*this)(a, ItemSpan(b));
   }
-  bool operator()(const Itemset& a, const ItemsetSkipView& b) const {
+  bool operator()(ItemSpan a, const ItemsetSkipView& b) const {
     if (a.size() != b.size()) return false;
     size_t ai = 0;
     for (size_t i = 0; i < b.items.size(); ++i) {
@@ -116,7 +116,7 @@ struct ItemsetEq {
     }
     return true;
   }
-  bool operator()(const ItemsetSkipView& a, const Itemset& b) const {
+  bool operator()(const ItemsetSkipView& a, ItemSpan b) const {
     return (*this)(b, a);
   }
 };

@@ -55,14 +55,13 @@ Status CheckCanonicalOrder(const PatternTable& table) {
         "pattern table is empty; even a trivial table carries the "
         "empty itemset");
   }
-  if (!table.row(0).items.empty()) {
+  if (!table.row_items(0).empty()) {
     return Status::InvalidArgument(
         "pattern table rows are not in canonical order: the empty "
         "itemset must come first (run SortPatterns before Create)");
   }
   for (size_t i = 1; i < table.size(); ++i) {
-    if (!CanonicalLess(ItemSpan(table.row(i - 1).items),
-                       ItemSpan(table.row(i).items))) {
+    if (!CanonicalLess(table.row_items(i - 1), table.row_items(i))) {
       return Status::InvalidArgument(
           "pattern table rows are not in canonical order at row " +
           std::to_string(i) + " (run SortPatterns before Create)");
@@ -155,36 +154,7 @@ Result<std::string> SerializePatternTableArtifact(const PatternTable& table) {
   DIVEXP_RETURN_NOT_OK(CheckCanonicalOrder(table));
   const size_t n = table.size();
 
-  // Materialize the columns. The table is already resident, so the
-  // transient doubling is bounded by the table's own footprint.
-  std::vector<uint64_t> item_offsets(n + 1, 0);
-  for (size_t i = 0; i < n; ++i) {
-    item_offsets[i + 1] = item_offsets[i] + table.row(i).items.size();
-  }
-  const uint64_t total_items = item_offsets[n];
-  std::vector<uint32_t> items;
-  items.reserve(total_items);
-  std::vector<uint64_t> tallies;
-  tallies.reserve(3 * n);
-  std::vector<double> stats;
-  stats.reserve(4 * n);
-  std::vector<uint32_t> subset_links;
-  subset_links.reserve(total_items);
-  std::vector<uint64_t> link_offsets(n + 1, 0);
-  for (size_t i = 0; i < n; ++i) {
-    const PatternRow& row = table.row(i);
-    items.insert(items.end(), row.items.begin(), row.items.end());
-    tallies.push_back(row.counts.t);
-    tallies.push_back(row.counts.f);
-    tallies.push_back(row.counts.bot);
-    stats.push_back(row.support);
-    stats.push_back(row.rate);
-    stats.push_back(row.divergence);
-    stats.push_back(row.t);
-    const std::span<const uint32_t> links = table.row_links(i);
-    subset_links.insert(subset_links.end(), links.begin(), links.end());
-    link_offsets[i + 1] = link_offsets[i] + links.size();
-  }
+  const TableColumns columns = table.columns();
   const std::string catalog_blob = SerializeCatalog(table.catalog());
 
   struct SectionPayload {
@@ -192,23 +162,36 @@ Result<std::string> SerializePatternTableArtifact(const PatternTable& table) {
     const void* data;
     size_t size;
   };
+  // The table already stores the artifact's columns: each section is
+  // one contiguous copy. The single offsets array goes out twice, as
+  // item_offsets and link_offsets.
   const SectionPayload sections[kArtifactSectionCount] = {
-      {ArtifactSection::kItems, items.data(), items.size() * 4},
-      {ArtifactSection::kItemOffsets, item_offsets.data(),
-       item_offsets.size() * 8},
-      {ArtifactSection::kTallies, tallies.data(), tallies.size() * 8},
-      {ArtifactSection::kStats, stats.data(), stats.size() * 8},
-      {ArtifactSection::kSubsetLinks, subset_links.data(),
-       subset_links.size() * 4},
-      {ArtifactSection::kLinkOffsets, link_offsets.data(),
-       link_offsets.size() * 8},
+      {ArtifactSection::kItems, columns.items.data(),
+       columns.items.size_bytes()},
+      {ArtifactSection::kItemOffsets, columns.item_offsets.data(),
+       columns.item_offsets.size_bytes()},
+      {ArtifactSection::kTallies, columns.tallies.data(),
+       columns.tallies.size_bytes()},
+      {ArtifactSection::kStats, columns.stats.data(),
+       columns.stats.size_bytes()},
+      {ArtifactSection::kSubsetLinks, columns.subset_links.data(),
+       columns.subset_links.size_bytes()},
+      {ArtifactSection::kLinkOffsets, columns.link_offsets.data(),
+       columns.link_offsets.size_bytes()},
       {ArtifactSection::kCatalog, catalog_blob.data(),
        catalog_blob.size()},
   };
 
-  std::string out(kArtifactHeaderSize +
-                      kArtifactSectionCount * kArtifactSectionEntrySize,
-                  '\0');
+  size_t file_size =
+      kArtifactHeaderSize + kArtifactSectionCount * kArtifactSectionEntrySize;
+  for (const SectionPayload& section : sections) {
+    file_size = AlignUp(file_size) + section.size;
+  }
+  std::string out;
+  out.reserve(file_size);
+  out.resize(kArtifactHeaderSize +
+                 kArtifactSectionCount * kArtifactSectionEntrySize,
+             '\0');
   for (size_t s = 0; s < kArtifactSectionCount; ++s) {
     out.resize(AlignUp(out.size()), '\0');
     const size_t entry =

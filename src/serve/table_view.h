@@ -20,36 +20,19 @@
 #include <optional>
 #include <span>
 
+#include "core/table_columns.h"
 #include "data/encoder.h"
 #include "fpm/itemset.h"
-#include "fpm/transactions.h"
 
 namespace divexp {
 namespace serve {
 
-/// Column indices into TableView::stats (4 doubles per row).
-inline constexpr size_t kStatSupport = 0;
-inline constexpr size_t kStatRate = 1;
-inline constexpr size_t kStatDivergence = 2;
-inline constexpr size_t kStatT = 3;
-
-/// Non-owning columnar pattern table. All spans must stay valid for the
-/// lifetime of the view (the owning artifact guarantees this).
-struct TableView {
-  /// Concatenated row itemsets; row i owns
-  /// [item_offsets[i], item_offsets[i+1]).
-  std::span<const uint32_t> items;
-  std::span<const uint64_t> item_offsets;  ///< num_rows + 1 entries
-  /// (t, f, bot) outcome tallies, 3 per row.
-  std::span<const uint64_t> tallies;
-  /// (support, rate, divergence, t), 4 per row — see kStat* above.
-  std::span<const double> stats;
-  /// Immediate-subset lattice links, aligned with `items`; row i owns
-  /// [link_offsets[i], link_offsets[i+1]). kNoLink (UINT32_MAX) marks a
-  /// subset dropped by guard truncation.
-  std::span<const uint32_t> subset_links;
-  std::span<const uint64_t> link_offsets;  ///< num_rows + 1 entries
-
+/// Non-owning columnar pattern table: the columns of
+/// core/table_columns.h as spans into the artifact, whose accessors
+/// (counts, support, rate, divergence, t) it inherits. All spans must
+/// stay valid for the lifetime of the view (the owning artifact
+/// guarantees this).
+struct TableView : TableColumns {
   const ItemCatalog* catalog = nullptr;
   uint64_t num_dataset_rows = 0;
   double global_rate = 0.0;
@@ -58,10 +41,6 @@ struct TableView {
   /// Logical-content fingerprint (core/table_fingerprint.h); the cache
   /// keys results under it so two artifacts of the same table share hits.
   uint64_t fingerprint = 0;
-
-  size_t size() const {
-    return item_offsets.empty() ? 0 : item_offsets.size() - 1;
-  }
 
   // The row-span accessors clamp both offsets into the backing column:
   // a header-tier artifact open defers the payload CRCs, so a corrupted
@@ -95,18 +74,6 @@ struct TableView {
     return ib <= ie && ie <= items.size() && lb <= le &&
            le <= subset_links.size() && ie - ib == le - lb;
   }
-
-  OutcomeCounts counts(size_t i) const {
-    return OutcomeCounts{tallies[3 * i], tallies[3 * i + 1],
-                         tallies[3 * i + 2]};
-  }
-
-  double support(size_t i) const { return stats[4 * i + kStatSupport]; }
-  double rate(size_t i) const { return stats[4 * i + kStatRate]; }
-  double divergence(size_t i) const {
-    return stats[4 * i + kStatDivergence];
-  }
-  double t(size_t i) const { return stats[4 * i + kStatT]; }
 
   /// True when row i's itemset orders strictly before `q` in canonical
   /// order (length first, then lexicographic).

@@ -4,8 +4,14 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
+#include <vector>
 
+#include "serve/artifact.h"
+#include "testing/table_bytes.h"
 #include "testing/test_explore.h"
+#include "util/random.h"
+#include "util/run_guard.h"
 
 namespace divexp {
 namespace {
@@ -109,70 +115,208 @@ TEST(CorrectiveTest, NoCorrectiveItemsInMonotoneData) {
   }
 }
 
+// Def. 4.2 computed directly: every (I, I ∪ {α}) pair of table rows, found
+// by looking I ∪ {α} up for every catalog item α ∉ I (no subset
+// links), is corrective when |Δ(I)| − |Δ(I ∪ {α})| exceeds the
+// threshold. Ranking: factor descending, then shorter base, then base
+// items, then α — a total order, so a full sort is the reference.
+std::vector<CorrectiveItem> RankedByDefinition(const PatternTable& table,
+                                               double min_factor) {
+  std::vector<CorrectiveItem> expected;
+  for (size_t i = 0; i < table.size(); ++i) {
+    const PatternRow base = table.row(i);
+    for (uint32_t alpha = 0; alpha < table.catalog().num_items(); ++alpha) {
+      if (std::binary_search(base.items.begin(), base.items.end(), alpha)) {
+        continue;
+      }
+      Itemset with = base.items;
+      with.insert(std::upper_bound(with.begin(), with.end(), alpha), alpha);
+      const auto row = table.Find(with);
+      if (!row.has_value()) continue;
+      const PatternRow superset = table.row(*row);
+      const double factor =
+          std::fabs(base.divergence) - std::fabs(superset.divergence);
+      if (factor <= 0.0 || factor <= min_factor) continue;
+      expected.push_back(CorrectiveItem{base.items, alpha, base.divergence,
+                                        superset.divergence, factor,
+                                        superset.t});
+    }
+  }
+  std::sort(expected.begin(), expected.end(),
+            [](const CorrectiveItem& a, const CorrectiveItem& b) {
+              if (a.factor != b.factor) return a.factor > b.factor;
+              if (a.base.size() != b.base.size()) {
+                return a.base.size() < b.base.size();
+              }
+              if (a.base != b.base) return a.base < b.base;
+              return a.item < b.item;
+            });
+  return expected;
+}
+
+// `got` must be the first min(top_k, |expected|) pairs of `expected`
+// (all of them when top_k is 0), field for field and bit for bit.
+void ExpectRankingPrefix(const std::vector<CorrectiveItem>& got,
+                         const std::vector<CorrectiveItem>& expected,
+                         size_t top_k) {
+  const size_t want =
+      top_k == 0 ? expected.size() : std::min(top_k, expected.size());
+  ASSERT_EQ(got.size(), want);
+  for (size_t j = 0; j < got.size(); ++j) {
+    EXPECT_EQ(got[j].base, expected[j].base) << j;
+    EXPECT_EQ(got[j].item, expected[j].item) << j;
+    EXPECT_EQ(got[j].base_divergence, expected[j].base_divergence) << j;
+    EXPECT_EQ(got[j].with_divergence, expected[j].with_divergence) << j;
+    EXPECT_EQ(got[j].factor, expected[j].factor) << j;
+    EXPECT_EQ(got[j].t, expected[j].t) << j;
+  }
+}
+
 TEST(CorrectiveTest, MatchesPairwiseDefinition) {
-  // Def. 4.2 from scratch: every (I, I ∪ {α}) pair of table rows, found
-  // by looking I ∪ {α} up for every catalog item α ∉ I (no subset
-  // links), is corrective when |Δ(I)| − |Δ(I ∪ {α})| exceeds the
-  // threshold. Ranking: factor descending, then shorter base, then base
-  // items, then α — a total order, so a full sort is the reference.
   for (uint64_t seed : {31u, 32u, 33u}) {
     const PatternTable table =
         RandomTableForTest(seed, /*rows=*/200, /*attrs=*/4, /*domain=*/3);
     for (const double min_factor : {0.0, 0.02}) {
-      std::vector<CorrectiveItem> expected;
-      for (size_t i = 0; i < table.size(); ++i) {
-        const PatternRow& base = table.row(i);
-        for (uint32_t alpha = 0; alpha < table.catalog().num_items();
-             ++alpha) {
-          if (std::binary_search(base.items.begin(), base.items.end(),
-                                 alpha)) {
-            continue;
-          }
-          Itemset with = base.items;
-          with.insert(std::upper_bound(with.begin(), with.end(), alpha),
-                      alpha);
-          const auto row = table.Find(with);
-          if (!row.has_value()) continue;
-          const PatternRow& superset = table.row(*row);
-          const double factor = std::fabs(base.divergence) -
-                                std::fabs(superset.divergence);
-          if (factor <= 0.0 || factor <= min_factor) continue;
-          expected.push_back(CorrectiveItem{base.items, alpha,
-                                            base.divergence,
-                                            superset.divergence, factor,
-                                            superset.t});
-        }
-      }
-      std::sort(expected.begin(), expected.end(),
-                [](const CorrectiveItem& a, const CorrectiveItem& b) {
-                  if (a.factor != b.factor) return a.factor > b.factor;
-                  if (a.base.size() != b.base.size()) {
-                    return a.base.size() < b.base.size();
-                  }
-                  if (a.base != b.base) return a.base < b.base;
-                  return a.item < b.item;
-                });
+      const std::vector<CorrectiveItem> expected =
+          RankedByDefinition(table, min_factor);
       ASSERT_GT(expected.size(), 10u) << "seed " << seed;
-
       for (const size_t top_k : {size_t{0}, size_t{7}}) {
+        SCOPED_TRACE("seed " + std::to_string(seed) + " min_factor " +
+                     std::to_string(min_factor) + " top_k " +
+                     std::to_string(top_k));
         CorrectiveOptions options;
         options.min_factor = min_factor;
         options.top_k = top_k;
-        const std::vector<CorrectiveItem> got =
-            FindCorrectiveItems(table, options);
-        const size_t want =
-            top_k == 0 ? expected.size() : std::min(top_k, expected.size());
-        ASSERT_EQ(got.size(), want)
-            << "seed " << seed << " min_factor " << min_factor;
-        for (size_t j = 0; j < got.size(); ++j) {
-          EXPECT_EQ(got[j].base, expected[j].base) << j;
-          EXPECT_EQ(got[j].item, expected[j].item) << j;
-          EXPECT_EQ(got[j].base_divergence, expected[j].base_divergence);
-          EXPECT_EQ(got[j].with_divergence, expected[j].with_divergence);
-          EXPECT_EQ(got[j].factor, expected[j].factor);
-          EXPECT_EQ(got[j].t, expected[j].t);
+        ExpectRankingPrefix(FindCorrectiveItems(table, options), expected,
+                            top_k);
+      }
+    }
+  }
+}
+
+// Every itemset of up to `max_len` items over `attrs` attributes of
+// `domain` values, with tallies drawn from a palette of three values
+// each: many rows share a rate, so many corrective pairs share a factor
+// and the ranking leans on its tie-breaks. Rows are sorted canonically,
+// so the table also writes as an artifact.
+PatternTable PlantedTieTable(uint64_t seed, size_t attrs, int domain,
+                             size_t max_len) {
+  Rng rng(seed);
+  ItemCatalog catalog;
+  std::vector<std::string> values;
+  for (int v = 0; v < domain; ++v) values.push_back(std::to_string(v));
+  for (size_t a = 0; a < attrs; ++a) {
+    catalog.AddAttribute("a" + std::to_string(a), values);
+  }
+  std::vector<MinedPattern> mined = {{Itemset{}, OutcomeCounts{40, 60, 0}}};
+  std::vector<Itemset> frontier = {Itemset{}};
+  for (size_t len = 1; len <= max_len; ++len) {
+    std::vector<Itemset> next;
+    for (const Itemset& prefix : frontier) {
+      const size_t first_attr =
+          prefix.empty() ? 0 : catalog.item(prefix.back()).attribute + 1;
+      for (size_t a = first_attr; a < attrs; ++a) {
+        for (int v = 0; v < domain; ++v) {
+          Itemset items = prefix;
+          items.push_back(catalog.first_item(static_cast<uint32_t>(a)) +
+                          static_cast<uint32_t>(v));
+          mined.push_back({items, OutcomeCounts{1 + rng.Below(3),
+                                                1 + rng.Below(3),
+                                                rng.Below(2)}});
+          next.push_back(std::move(items));
         }
       }
+    }
+    frontier = std::move(next);
+  }
+  SortPatterns(&mined);
+  auto table = PatternTable::Create(std::move(mined), std::move(catalog),
+                                    /*num_rows=*/100);
+  DIVEXP_CHECK_OK(table.status());
+  return std::move(table).value();
+}
+
+TEST(CorrectiveTest, BoundedSelectionIsThePrefixOfTheFullRanking) {
+  for (uint64_t seed : {41u, 42u, 43u}) {
+    const PatternTable table =
+        PlantedTieTable(seed, /*attrs=*/5, /*domain=*/3, /*max_len=*/3);
+    auto artifact = serve::PatternTableArtifact::FromBuffer(
+        testing::TableBytes(table), serve::ArtifactValidation::kFull);
+    ASSERT_TRUE(artifact.ok()) << artifact.status().ToString();
+    const serve::TableView& view = (*artifact)->view();
+    for (const double min_factor : {0.0, 0.05, 0.15}) {
+      const std::vector<CorrectiveItem> expected =
+          RankedByDefinition(table, min_factor);
+      ASSERT_GT(expected.size(), 20u) << "seed " << seed;
+      size_t ties = 0;
+      for (size_t j = 1; j < expected.size(); ++j) {
+        ties += expected[j - 1].factor == expected[j].factor ? 1 : 0;
+      }
+      ASSERT_GT(ties, expected.size() / 2) << "ties were not planted";
+      for (const size_t top_k :
+           {size_t{0}, size_t{1}, size_t{5}, size_t{10},
+            expected.size() + 3}) {
+        SCOPED_TRACE("seed " + std::to_string(seed) + " min_factor " +
+                     std::to_string(min_factor) + " top_k " +
+                     std::to_string(top_k));
+        CorrectiveOptions options;
+        options.min_factor = min_factor;
+        options.top_k = top_k;
+        auto in_memory = ScanCorrectiveItems(table, options);
+        ASSERT_TRUE(in_memory.ok());
+        ExpectRankingPrefix(*in_memory, expected, top_k);
+        auto served = ScanCorrectiveItems(view, options);
+        ASSERT_TRUE(served.ok());
+        ExpectRankingPrefix(*served, expected, top_k);
+      }
+    }
+  }
+}
+
+// On a guard-truncated table some subset links are kNoLink. The scan
+// must skip exactly those pairs and still rank the kept ones as the
+// definition does over the rows that survived.
+TEST(CorrectiveTest, TruncatedTableMatchesDefinitionOverKeptRows) {
+  for (uint64_t seed : {51u, 52u}) {
+    const PatternTable complete =
+        RandomTableForTest(seed, /*rows=*/200, /*attrs=*/4, /*domain=*/3);
+    // Longest first, the empty itemset last: a prefix drops subsets.
+    std::vector<MinedPattern> mined;
+    uint64_t budget = 4;  // below any one row's charge
+    for (size_t i = complete.size(); i-- > 0;) {
+      const ItemSpan items = complete.row_items(i);
+      mined.push_back({Itemset(items.begin(), items.end()),
+                       complete.counts(i)});
+      if (mined.size() > 1 && mined.size() <= complete.size() / 2) {
+        budget += PatternTable::RowBytes(items.size());
+      }
+    }
+    RunLimits limits;
+    limits.max_memory_mb = 1;
+    RunGuard guard(limits);
+    ASSERT_TRUE(guard.AddMemory((uint64_t{1} << 20) - budget));
+    auto table = PatternTable::Create(std::move(mined), complete.catalog(),
+                                      complete.num_dataset_rows(), &guard);
+    ASSERT_TRUE(table.ok()) << table.status().ToString();
+    ASSERT_EQ(table->size(), complete.size() / 2);
+    size_t dropped_links = 0;
+    for (size_t i = 0; i < table->size(); ++i) {
+      for (uint32_t link : table->row_links(i)) {
+        dropped_links += link == PatternTable::kNoLink ? 1 : 0;
+      }
+    }
+    ASSERT_GT(dropped_links, 0u);
+    const std::vector<CorrectiveItem> expected =
+        RankedByDefinition(*table, /*min_factor=*/0.0);
+    ASSERT_GT(expected.size(), 5u) << "seed " << seed;
+    for (const size_t top_k : {size_t{0}, size_t{5}}) {
+      SCOPED_TRACE("seed " + std::to_string(seed) + " top_k " +
+                   std::to_string(top_k));
+      CorrectiveOptions options;
+      options.top_k = top_k;
+      auto got = ScanCorrectiveItems(*table, options);
+      ASSERT_TRUE(got.ok());
+      ExpectRankingPrefix(*got, expected, top_k);
     }
   }
 }

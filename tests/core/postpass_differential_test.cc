@@ -64,7 +64,8 @@ Result<std::vector<ItemContribution>> RefShapley(const PatternTable& table,
 std::vector<CorrectiveItem> RefCorrective(const PatternTable& table,
                                           const CorrectiveOptions& options) {
   std::vector<CorrectiveItem> out;
-  for (const PatternRow& row : table.rows()) {
+  for (size_t r = 0; r < table.size(); ++r) {
+    const PatternRow row = table.row(r);
     const Itemset& k = row.items;
     if (k.empty()) continue;
     for (uint32_t alpha : k) {
@@ -127,7 +128,8 @@ Result<double> RefGlobalItemset(const PatternTable& table,
   const std::vector<long double> fact = Factorials(num_attrs);
   const size_t i_len = itemset.size();
   long double total = 0.0L;
-  for (const PatternRow& row : table.rows()) {
+  for (size_t r = 0; r < table.size(); ++r) {
+    const PatternRow row = table.row(r);
     const Itemset& k = row.items;
     if (k.size() < i_len || !IsSubset(itemset, k)) continue;
     long double prod = 1.0L;
@@ -412,7 +414,7 @@ void LeaveBudget(RunGuard& guard, uint64_t keep_bytes) {
 }
 
 uint64_t FootprintBytes(size_t items) {
-  return sizeof(PatternRow) + 2 * items * sizeof(uint32_t);
+  return PatternTable::RowBytes(items);
 }
 
 TEST(TruncatedLatticeTest, AllLinksMissing) {
@@ -463,8 +465,8 @@ TEST(TruncatedLatticeTest, PartialLinksStayConsistent) {
   EXPECT_FALSE(MarginalContribution(*table, Itemset{0, 2}, 2).ok());
 }
 
-// The fixed memory accounting charges the itemset heap bytes, not just
-// sizeof(PatternRow).
+// The post-pass charges every kept row its columnar footprint,
+// PatternTable::RowBytes, which grows with the row's itemset.
 TEST(PatternTableAccountingTest, ChargesPerRowFootprint) {
   const RandomCase c = MakeRandomCase(kSeeds[0]);
   ExplorerOptions opts;
@@ -474,13 +476,11 @@ TEST(PatternTableAccountingTest, ChargesPerRowFootprint) {
   DivergenceExplorer explorer(opts);
   auto table = explorer.ExploreOutcomes(c.encoded, c.outcomes);
   ASSERT_TRUE(table.ok());
-  uint64_t items_bytes = 0;
+  uint64_t row_bytes = 0;
   for (size_t i = 1; i < table->size(); ++i) {
-    items_bytes += table->row(i).items.size() * sizeof(uint32_t);
+    row_bytes += PatternTable::RowBytes(table->row_items(i).size());
   }
-  // Strictly more than the old sizeof(PatternRow)-only accounting.
-  EXPECT_GE(guard.peak_memory_bytes(),
-            (table->size() - 1) * sizeof(PatternRow) + items_bytes);
+  EXPECT_GE(guard.peak_memory_bytes(), row_bytes);
 }
 
 }  // namespace

@@ -266,7 +266,8 @@ Status Run(const CliOptions& opts, std::ostream& out, std::ostream& log) {
 
   if (opts.show_shapley && !shown.empty()) {
     obs::StageTimer timer(&run_stages, obs::kStageShapley);
-    const Itemset& best = table.row(shown[0]).items;
+    const ItemSpan best_items = table.row_items(shown[0]);
+    const Itemset best(best_items.begin(), best_items.end());
     DIVEXP_ASSIGN_OR_RETURN(std::vector<ItemContribution> contributions,
                             ShapleyContributions(table, best));
     timer.AddItems(contributions.size());
@@ -312,7 +313,8 @@ Status Run(const CliOptions& opts, std::ostream& out, std::ostream& log) {
     };
     out << "all metrics for the top patterns:\n";
     for (size_t i : shown) {
-      const Itemset& items = table.row(i).items;
+      const ItemSpan row_items = table.row_items(i);
+      const Itemset items(row_items.begin(), row_items.end());
       out << "  [" << table.ItemsetName(items) << "]\n   ";
       for (Metric m : kAll) {
         DIVEXP_ASSIGN_OR_RETURN(double div, mtable.Divergence(m, items));
