@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <string>
 
-#include "fpm/dispatch.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "recovery/checkpoint.h"
@@ -47,6 +46,23 @@ Status ValidateExplorerOptions(const ExplorerOptions& options) {
   return Status::OK();
 }
 
+Result<MiningSetup> ResolveMining(const EncodedDataset& dataset,
+                                  const ExplorerOptions& options) {
+  fpm::DatasetShape shape;
+  shape.rows = dataset.num_rows;
+  shape.attributes = dataset.num_attributes;
+  shape.items = dataset.catalog.num_items();
+  MiningSetup setup;
+  setup.plan = fpm::ChooseMiningPlan(shape, options.min_support,
+                                     options.miner, options.kernel,
+                                     options.num_threads);
+  setup.miner = MakeMiner(setup.plan.miner);
+  if (setup.miner == nullptr) {
+    return Status::InvalidArgument("unknown miner kind");
+  }
+  return setup;
+}
+
 Result<PatternTable> DivergenceExplorer::Explore(
     const EncodedDataset& dataset, const std::vector<int>& predictions,
     const std::vector<int>& truths, Metric metric) const {
@@ -73,6 +89,9 @@ Result<PatternTable> DivergenceExplorer::ExploreOutcomes(
         "outcomes length " + std::to_string(outcomes.size()) +
         " != dataset rows " + std::to_string(dataset.num_rows));
   }
+  if (dataset.num_rows == 0) {
+    return Status::InvalidArgument("dataset has no rows");
+  }
   obs::ScopedSpan explore_span("explore");
   obs::StageCollector stages;
 
@@ -89,17 +108,10 @@ Result<PatternTable> DivergenceExplorer::ExploreOutcomes(
   // Resolve the adaptive plan (miner, kernel table, threads) once per
   // run from the dataset shape; escalation attempts reuse it so the
   // whole run is one consistent configuration.
-  fpm::DatasetShape shape;
-  shape.rows = db.num_rows();
-  shape.attributes = db.num_attributes();
-  shape.items = db.num_items();
-  const fpm::MiningPlan plan = fpm::ChooseMiningPlan(
-      shape, options_.min_support, options_.miner, options_.kernel,
-      options_.num_threads);
-  std::unique_ptr<FrequentPatternMiner> miner = MakeMiner(plan.miner);
-  if (miner == nullptr) {
-    return Status::InvalidArgument("unknown miner kind");
-  }
+  DIVEXP_ASSIGN_OR_RETURN(MiningSetup setup,
+                          ResolveMining(dataset, options_));
+  const fpm::MiningPlan& plan = setup.plan;
+  std::unique_ptr<FrequentPatternMiner> miner = std::move(setup.miner);
 
   // Crash recovery: one Checkpointer spans all escalation attempts. It
   // is keyed to the exact dataset via a fingerprint so a snapshot can

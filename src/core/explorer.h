@@ -8,11 +8,13 @@
 #ifndef DIVEXP_CORE_EXPLORER_H_
 #define DIVEXP_CORE_EXPLORER_H_
 
+#include <memory>
 #include <vector>
 
 #include "core/outcome.h"
 #include "core/pattern.h"
 #include "data/encoder.h"
+#include "fpm/dispatch.h"
 #include "fpm/miner.h"
 #include "obs/stage.h"
 #include "util/run_guard.h"
@@ -96,6 +98,16 @@ struct ExplorerOptions {
 /// escalation parameters) so misconfiguration surfaces as
 /// InvalidArgument instead of undefined downstream behavior.
 Status ValidateExplorerOptions(const ExplorerOptions& options);
+
+/// How a run of `options` over `dataset` mines: fpm::ChooseMiningPlan on
+/// the dataset's shape, so `plan.miner` is never kAuto, and that miner.
+/// Every explorer resolves its run here.
+struct MiningSetup {
+  fpm::MiningPlan plan;
+  std::unique_ptr<FrequentPatternMiner> miner;
+};
+Result<MiningSetup> ResolveMining(const EncodedDataset& dataset,
+                                  const ExplorerOptions& options);
 
 /// Timing breakdown of a run (used for Fig. 6 and the mining-vs-post
 /// processing split reported in §6.1).
@@ -201,7 +213,9 @@ class DivergenceExplorer {
                                const std::vector<int>& truths,
                                Metric metric) const;
 
-  /// Exploration from precomputed outcomes (any Boolean statistic).
+  /// Exploration from precomputed outcomes (any Boolean statistic). A
+  /// dataset with no rows is InvalidArgument, as in the sharded
+  /// explorer: there is no population to report on.
   Result<PatternTable> ExploreOutcomes(const EncodedDataset& dataset,
                                        std::vector<Outcome> outcomes) const;
 

@@ -85,6 +85,9 @@ Result<MultiPatternTable> MultiExplorer::Explore(
       predictions.size() != dataset.num_rows) {
     return Status::InvalidArgument("label vectors must match dataset rows");
   }
+  if (dataset.num_rows == 0) {
+    return Status::InvalidArgument("dataset has no rows");
+  }
   // Channel 1 splits the negatives (FPR view: T=FP, F=TN, ⊥=v);
   // channel 2 splits the positives (TPR view: T=TP, F=FN, ⊥=¬v).
   // Together they determine the full confusion tally per pattern.
@@ -98,10 +101,9 @@ Result<MultiPatternTable> MultiExplorer::Explore(
   MinerOptions mopts;
   mopts.min_support = options_.min_support;
   mopts.max_length = options_.max_length;
-  std::unique_ptr<FrequentPatternMiner> miner = MakeMiner(options_.miner);
-  if (miner == nullptr) {
-    return Status::InvalidArgument("unknown miner kind");
-  }
+  DIVEXP_ASSIGN_OR_RETURN(MiningSetup setup,
+                          ResolveMining(dataset, options_));
+  const std::unique_ptr<FrequentPatternMiner>& miner = setup.miner;
 
   DIVEXP_ASSIGN_OR_RETURN(
       TransactionDatabase db1,
@@ -130,8 +132,7 @@ Result<MultiPatternTable> MultiExplorer::Explore(
   table.num_rows_ = dataset.num_rows;
   table.rows_.reserve(mined1.size());
   table.index_.reserve(mined1.size());
-  const double denom =
-      dataset.num_rows == 0 ? 1.0 : static_cast<double>(dataset.num_rows);
+  const double denom = static_cast<double>(dataset.num_rows);
   for (MinedPattern& p : mined1) {
     auto it = pos_index.find(p.items);
     if (it == pos_index.end()) {

@@ -74,6 +74,7 @@ class MultiPatternTable {
 
 /// Runs Algorithm 1 once (two complementary outcome channels over a
 /// single transaction construction) and returns the multi-metric table.
+/// A dataset with no rows is InvalidArgument, as in the other explorers.
 class MultiExplorer {
  public:
   explicit MultiExplorer(ExplorerOptions options = {})

@@ -7,7 +7,6 @@
 #include <thread>
 #include <utility>
 
-#include "fpm/dispatch.h"
 #include "fpm/transactions.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -55,7 +54,7 @@ ShardOutcome RunShardUnit(size_t shard_index, const ShardWork& work,
     }
     const int64_t timeout = RetryAttemptTimeoutMs(options.retry, attempt);
     ShardAttemptResult result;
-    if (options.attempt_runner) {
+    if (options.isolation == ShardIsolation::kProcess) {
       // Out-of-line (process-isolated) attempt: the runner owns the
       // whole unit including its failpoints and checkpointing; account
       // the coordinator-side wall time as the shard-mine stage.
@@ -217,21 +216,17 @@ Result<PatternTable> ShardedExplorer::ExploreOutcomes(
   stats_.shards = options_.num_shards;
   stats_.shard_isolation = ShardIsolationName(options_.isolation);
   stats_.effective_min_support = options_.base.min_support;
-  {
-    // Every shard inherits the base options and an identically-shaped
-    // slice (same attributes/items, fewer rows), so they all resolve to
-    // the same miner and kernel; record that resolution here.
-    fpm::DatasetShape shape;
-    shape.rows = dataset.num_rows;
-    shape.attributes = dataset.num_attributes;
-    shape.items = dataset.catalog.num_items();
-    const fpm::MiningPlan mining_plan = fpm::ChooseMiningPlan(
-        shape, options_.base.min_support, options_.base.miner,
-        options_.base.kernel, options_.base.num_threads);
-    stats_.miner = MinerKindName(mining_plan.miner);
-    stats_.kernel = mining_plan.ops->name;
-    stats_.dispatch_rationale = mining_plan.rationale;
-  }
+  // Every shard inherits the base options and an identically-shaped
+  // slice (same attributes/items, fewer rows), so they all resolve to
+  // the same miner and kernel: resolve once here, and hand the resolved
+  // miner to shard units, worker specs and shard checkpoints.
+  DIVEXP_ASSIGN_OR_RETURN(const MiningSetup mining,
+                          ResolveMining(dataset, options_.base));
+  stats_.miner = MinerKindName(mining.plan.miner);
+  stats_.kernel = mining.plan.ops->name;
+  stats_.dispatch_rationale = mining.plan.rationale;
+  ShardedExplorerOptions run_options = options_;
+  run_options.base.miner = mining.plan.miner;
   obs::MetricsRegistry& reg = obs::MetricsRegistry::Default();
   reg.GetCounter("shard.runs")->Add(1);
   const uint64_t faults0 =
@@ -262,7 +257,7 @@ Result<PatternTable> ShardedExplorer::ExploreOutcomes(
     std::vector<Outcome> shard_outcomes(
         outcomes.begin() + static_cast<std::ptrdiff_t>(plan[i].begin),
         outcomes.begin() + static_cast<std::ptrdiff_t>(plan[i].end));
-    if (options_.attempt_runner) {
+    if (options_.isolation == ShardIsolation::kProcess) {
       // An out-of-process attempt ships the raw slice, so keep the
       // outcome copy TransactionDatabase::Create is about to consume.
       work[i].outcomes = shard_outcomes;
@@ -281,7 +276,7 @@ Result<PatternTable> ShardedExplorer::ExploreOutcomes(
       results[i].shard = i;
       return;
     }
-    results[i] = RunShardUnit(i, work[i], options_);
+    results[i] = RunShardUnit(i, work[i], run_options);
   });
 
   obs::StageCollector stages;

@@ -6,7 +6,7 @@
 // attempt computes is the shared RunShardAttempt path (src/shard/unit),
 // so `--shard-isolation=process` can only change where the attempt
 // runs, never its output (the bit-identity contract verified by
-// tests/shard/shard_process_test.cc). The worker's own responsibilities
+// tests/matrix/matrix_test.cc). The worker's own responsibilities
 // are transport: load the spec, prove the dataset slice is the one the
 // coordinator fingerprinted, heartbeat while mining, persist the result
 // as a serving artifact and report via result-ready / fatal-status.

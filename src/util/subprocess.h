@@ -66,7 +66,7 @@ Status WriteAll(int fd, const void* buf, size_t len);
 
 /// Zombie accounting: children spawned / reaped by this process since
 /// start. A coordinator that never leaks a zombie keeps these equal
-/// whenever it is idle (asserted in tests/shard/shard_process_test.cc).
+/// whenever it is idle (asserted in tests/matrix/matrix_test.cc).
 uint64_t SubprocessSpawnCount();
 uint64_t SubprocessReapCount();
 

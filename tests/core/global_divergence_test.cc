@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <tuple>
+#include <vector>
 
 #include "testing/test_explore.h"
 #include "util/random.h"
@@ -100,6 +102,55 @@ TEST(GlobalDivergenceTest, NullAttributeGetsZero) {
       EXPECT_NEAR(g.global, 0.0, 1e-12);
     } else {
       EXPECT_GT(std::fabs(g.global), 1e-6);
+    }
+  }
+}
+
+// Def. 4.3 from scratch: Δ^g(α) averages, over every complete itemset
+// I (one value per attribute), α's Shapley value in I, each summed over
+// the explicit subsets J ⊆ I \ {α} with weight |J|!(n-|J|-1)!/n!.
+TEST(GlobalDivergenceTest, MatchesDefinitionByBruteForce) {
+  auto factorial = [](size_t k) { return std::tgamma(k + 1.0); };
+  for (const auto& [seed, n, domain] :
+       {std::tuple{1u, size_t{3}, 2}, {7u, size_t{2}, 3},
+        {9u, size_t{4}, 2}}) {
+    const PatternTable table = MakeFullTable(seed, n, domain, 3);
+    const ItemCatalog& catalog = table.catalog();
+    std::vector<double> want(catalog.num_items(), 0.0);
+    size_t complete = 0;
+    std::vector<uint32_t> values(n, 0);  // odometer over the grid
+    for (bool more = true; more;) {
+      ++complete;
+      Itemset full;
+      for (size_t b = 0; b < n; ++b) {
+        full.push_back(catalog.first_item(b) + values[b]);
+      }
+      for (size_t alpha = 0; alpha < n; ++alpha) {
+        for (uint32_t mask = 0; mask < (1u << n); ++mask) {
+          if ((mask >> alpha) & 1) continue;
+          Itemset j;
+          Itemset with;
+          for (size_t b = 0; b < n; ++b) {
+            if ((mask >> b) & 1) j.push_back(full[b]);
+            if ((mask >> b) & 1 || b == alpha) with.push_back(full[b]);
+          }
+          const double weight = factorial(j.size()) *
+                                factorial(n - j.size() - 1) / factorial(n);
+          want[full[alpha]] +=
+              weight * (*table.Divergence(with) - *table.Divergence(j));
+        }
+      }
+      more = false;
+      for (size_t b = n; b-- > 0 && !more;) {
+        more = ++values[b] < static_cast<uint32_t>(domain);
+        if (!more) values[b] = 0;
+      }
+    }
+    for (const GlobalItemDivergence& g :
+         ComputeGlobalItemDivergence(table)) {
+      EXPECT_NEAR(g.global, want[g.item] / static_cast<double>(complete),
+                  1e-12)
+          << "seed " << seed << " item " << g.item;
     }
   }
 }

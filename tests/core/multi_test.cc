@@ -145,6 +145,34 @@ TEST(MultiExplorerTest, RejectsMismatchedLabels) {
   EXPECT_FALSE(bad.ok());
 }
 
+TEST(MultiExplorerTest, AutoMinerMatchesAnExplicitMiner) {
+  const RandomLabeled data = MakeRandomLabeled(19);
+  ExplorerOptions opts;
+  opts.min_support = 0.05;
+  opts.miner = MinerKind::kAuto;
+  auto chosen = MultiExplorer(opts).Explore(data.dataset, data.preds,
+                                            data.truths);
+  ASSERT_TRUE(chosen.ok()) << chosen.status().ToString();
+  opts.miner = MinerKind::kFpGrowth;
+  auto explicit_miner = MultiExplorer(opts).Explore(
+      data.dataset, data.preds, data.truths);
+  ASSERT_TRUE(explicit_miner.ok());
+  ASSERT_EQ(chosen->size(), explicit_miner->size());
+  for (size_t i = 0; i < chosen->size(); ++i) {
+    const auto j = explicit_miner->Find(chosen->row(i).items);
+    ASSERT_TRUE(j.has_value());
+    EXPECT_EQ(explicit_miner->row(*j).counts, chosen->row(i).counts);
+  }
+}
+
+TEST(MultiExplorerTest, NoRowsIsInvalidArgumentAsInTheOtherExplorers) {
+  const RandomLabeled data = MakeRandomLabeled(23, 0);
+  auto table = MultiExplorer().Explore(data.dataset, data.preds,
+                                       data.truths);
+  EXPECT_EQ(table.status().ToString(),
+            "InvalidArgument: dataset has no rows");
+}
+
 TEST(MultiExplorerTest, SupportIndependentOfMetric) {
   const RandomLabeled data = MakeRandomLabeled(17);
   ExplorerOptions opts;

@@ -1,246 +1,59 @@
-// Kill/resume differential harness: run explorations under random
-// deterministic fault schedules until they die (injected throw /
-// return-error in-process, or a real fork+abort for process death),
-// resume from the last snapshot, and assert the final pattern table is
-// bit-identical to an uninterrupted run — for all three miners, at
-// several supports, at 1 and 8 threads.
-//
-// Schedule count per (miner, support, threads) cell comes from the
-// DIVEXP_RECOVERY_SCHEDULES env var (default 15, so each miner sees
-// 15 x 4 = 60 in-process schedules by default; CI's recovery-smoke job
-// pins its own value).
+// Crash-recovery edge cases around the checkpoint writer: a real
+// process death inside the snapshot writer never leaves a torn
+// checkpoint, a RunGuard breach forces a final snapshot and survives a
+// failing writer, and the run stats report recovery activity. The
+// bit-identity of killed-then-resumed runs for every miner, kernel,
+// thread count, support and length cap is checked by the differential
+// matrix (tests/matrix/matrix_test.cc).
 #include <gtest/gtest.h>
 
 #include <sys/wait.h>
 #include <unistd.h>
 
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
-#include "core/explorer.h"
-#include "recovery/atomic_file.h"
-#include "util/failpoint.h"
 #include "recovery/mining_snapshot.h"
+#include "testing/modes.h"
 #include "testing/table_bytes.h"
-#include "testing/test_data.h"
-#include "util/random.h"
+#include "util/failpoint.h"
 
 namespace divexp {
 namespace recovery {
 namespace {
 
-using divexp::testing::MakeEncoded;
+using divexp::testing::MinerTable;
 using divexp::testing::TableBytes;
-
-std::string TempDir(const std::string& leaf) {
-  const char* base = std::getenv("TMPDIR");
-  std::string dir = std::string(base != nullptr ? base : "/tmp") +
-                    "/divexp_kill_resume_test/" + leaf;
-  DIVEXP_CHECK_OK(EnsureDirectory(dir));
-  return dir;
-}
-
-int SchedulesPerCell() {
-  const char* env = std::getenv("DIVEXP_RECOVERY_SCHEDULES");
-  if (env == nullptr) return 15;
-  const int n = std::atoi(env);
-  return n > 0 ? n : 15;
-}
-
-struct Workload {
-  EncodedDataset dataset;
-  std::vector<Outcome> outcomes;
-};
 
 // A table rich enough that every miner needs many units (FP-growth
 // headers, Eclat roots, Apriori levels) and several checkpoints land
 // before a mid-run fault.
-Workload MakeWorkload() {
-  Rng rng(777);
-  const std::vector<int> domains = {3, 4, 2, 3, 2, 4};
-  std::vector<std::vector<int>> cells(
-      220, std::vector<int>(domains.size()));
-  std::vector<Outcome> outcomes(cells.size());
-  for (size_t r = 0; r < cells.size(); ++r) {
-    for (size_t a = 0; a < domains.size(); ++a) {
-      cells[r][a] = static_cast<int>(rng.Below(domains[a]));
-    }
-    const double u = rng.Uniform();
-    const double bias = cells[r][0] == 0 ? 0.6 : 0.3;
-    outcomes[r] = u < bias         ? Outcome::kTrue
-                  : u < bias + 0.3 ? Outcome::kFalse
-                                   : Outcome::kBottom;
-  }
-  Workload w;
-  w.dataset = MakeEncoded(cells, domains);
-  w.outcomes = std::move(outcomes);
-  return w;
+MinerTable Workload() {
+  return divexp::testing::MakeMinerTable(
+      divexp::testing::MinerTableSpecs()[1]);
 }
 
-ExplorerOptions BaseOptions(MinerKind miner, double support,
-                            size_t threads,
-                            fpm::KernelKind kernel = fpm::KernelKind::kAuto) {
+ExplorerOptions BaseOptions(MinerKind miner, double support) {
   ExplorerOptions opts;
   opts.miner = miner;
   opts.min_support = support;
-  opts.num_threads = threads;
-  opts.kernel = kernel;
   return opts;
 }
 
-std::string ReferenceSerialization(const Workload& w,
+/// A scratch directory with no checkpoint left by an earlier run.
+std::string FreshCheckpointDir(const std::string& leaf) {
+  const std::string dir = divexp::testing::ScratchDir("recovery/" + leaf);
+  std::remove((dir + "/mining.ckpt").c_str());
+  return dir;
+}
+
+std::string ReferenceSerialization(const MinerTable& w,
                                    const ExplorerOptions& opts) {
   DivergenceExplorer explorer(opts);
   auto table = explorer.ExploreOutcomes(w.dataset, w.outcomes);
   DIVEXP_CHECK(table.ok());
   return TableBytes(*table);
-}
-
-// Failpoints a schedule may target, per miner. Mining-phase points die
-// mid-frontier; io.snapshot.write dies inside the checkpoint writer;
-// core.explore.divergence dies after mining with a full checkpoint.
-std::vector<std::string> FaultTargets(MinerKind miner) {
-  std::vector<std::string> targets = {"parallel.worker",
-                                      "io.snapshot.write",
-                                      "core.explore.divergence"};
-  switch (miner) {
-    case MinerKind::kFpGrowth:
-      targets.push_back("fpm.fpgrowth.grow");
-      break;
-    case MinerKind::kApriori:
-      targets.push_back("fpm.apriori.level");
-      break;
-    case MinerKind::kEclat:
-      targets.push_back("fpm.eclat.grow");
-      break;
-  }
-  return targets;
-}
-
-std::string RandomSchedule(Rng& rng, MinerKind miner) {
-  const std::vector<std::string> targets = FaultTargets(miner);
-  const std::string& name = targets[rng.Below(targets.size())];
-  // Bias ordinals low: Apriori has only a handful of hits per run
-  // (one per level), so uniform 1..24 would rarely fire there; the
-  // high tail still probes late-run faults on the richer miners.
-  const uint64_t ordinal =
-      rng.Below(2) == 0 ? 1 + rng.Below(3) : 1 + rng.Below(24);
-  const char* action = rng.Below(2) == 0 ? "throw" : "return-error";
-  return name + "@" + std::to_string(ordinal) + ":" + action;
-}
-
-void RunCell(MinerKind miner, double support, size_t threads,
-             const Workload& w, const std::string& reference,
-             int schedules, uint64_t seed,
-             fpm::KernelKind kernel = fpm::KernelKind::kAuto) {
-  Rng rng(seed);
-  int interrupted = 0;
-  for (int round = 0; round < schedules; ++round) {
-    const std::string dir =
-        TempDir(std::string(MinerKindName(miner)) + "_s" +
-                std::to_string(static_cast<int>(support * 1000)) + "_t" +
-                std::to_string(threads) + "_k" +
-                fpm::KernelKindName(kernel));
-    std::remove((dir + "/mining.ckpt").c_str());
-
-    const std::string schedule = RandomSchedule(rng, miner);
-    ExplorerOptions opts = BaseOptions(miner, support, threads, kernel);
-    opts.checkpoint_dir = dir;
-
-    bool died = true;
-    {
-      ScopedFailPoints scope;
-      ASSERT_TRUE(scope.Arm(schedule).ok()) << schedule;
-      DivergenceExplorer explorer(opts);
-      try {
-        auto table = explorer.ExploreOutcomes(w.dataset, w.outcomes);
-        if (table.ok()) {
-          died = false;
-          // Fault never fired (ordinal past the end of the run): the
-          // completed run must already match the reference.
-          ASSERT_EQ(TableBytes(*table), reference)
-              << "schedule " << schedule;
-        }
-      } catch (const std::exception&) {
-        // A throw-action fault outside the mining phase (e.g. in the
-        // divergence post-pass workers) escapes as an exception — a
-        // harder death mode than a Status, handled identically.
-      }
-    }
-    if (!died) continue;
-    ++interrupted;
-
-    // Whatever the snapshot captured must load cleanly...
-    const bool had_checkpoint = FileExists(dir + "/mining.ckpt");
-    if (had_checkpoint) {
-      auto snapshot = LoadMiningState(dir + "/mining.ckpt");
-      ASSERT_TRUE(snapshot.ok())
-          << "schedule " << schedule << ": " << snapshot.status().ToString();
-    }
-    // ...and the resumed run must reproduce the reference exactly.
-    opts.resume = true;
-    DivergenceExplorer resumed(opts);
-    auto table = resumed.ExploreOutcomes(w.dataset, w.outcomes);
-    ASSERT_TRUE(table.ok())
-        << "resume after " << schedule << ": " << table.status().ToString();
-    ASSERT_EQ(TableBytes(*table), reference)
-        << "schedule " << schedule;
-    if (had_checkpoint) {
-      EXPECT_TRUE(resumed.last_run_stats().resumed_from_checkpoint)
-          << "schedule " << schedule;
-    }
-  }
-  // The schedule space is tuned so a healthy fraction of rounds
-  // actually exercises the interrupt/resume path.
-  EXPECT_GT(interrupted, 0) << "no schedule interrupted the run";
-}
-
-class KillResumeTest : public ::testing::TestWithParam<MinerKind> {};
-
-TEST_P(KillResumeTest, RandomFaultSchedulesResumeBitIdentically) {
-  const MinerKind miner = GetParam();
-  const Workload w = MakeWorkload();
-  const int schedules = SchedulesPerCell();
-  uint64_t seed = 1000 + static_cast<uint64_t>(miner);
-  for (const double support : {0.3, 0.12}) {
-    for (const size_t threads : {size_t{1}, size_t{8}}) {
-      const std::string reference =
-          ReferenceSerialization(w, BaseOptions(miner, support, threads));
-      // The reference is thread-count independent (merge-order
-      // invariant); resumed runs must land on the same bytes.
-      RunCell(miner, support, threads, w, reference, schedules, ++seed);
-    }
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(AllMiners, KillResumeTest,
-                         ::testing::Values(MinerKind::kFpGrowth,
-                                           MinerKind::kApriori,
-                                           MinerKind::kEclat),
-                         [](const auto& info) {
-                           return std::string(MinerKindName(info.param));
-                         });
-
-// The --kernel=simd cells: faulted SIMD-kernel runs must resume onto
-// the *scalar* reference bytes — checkpoint envelopes (and therefore
-// resumed tables) are kernel-independent. On hosts without a SIMD
-// table kSimd degrades to scalar and the cell still runs, keeping the
-// assertion meaningful everywhere.
-TEST(KillResumeKernelTest, SimdCellsResumeBitIdenticalToScalarReference) {
-  const Workload w = MakeWorkload();
-  const int schedules = SchedulesPerCell();
-  uint64_t seed = 9000;
-  for (MinerKind miner :
-       {MinerKind::kFpGrowth, MinerKind::kApriori, MinerKind::kEclat}) {
-    for (const size_t threads : {size_t{1}, size_t{8}}) {
-      const std::string reference = ReferenceSerialization(
-          w, BaseOptions(miner, 0.12, threads, fpm::KernelKind::kScalar));
-      RunCell(miner, 0.12, threads, w, reference, schedules, ++seed,
-              fpm::KernelKind::kSimd);
-    }
-  }
 }
 
 // Real process death: fork a child that aborts inside the snapshot
@@ -249,9 +62,9 @@ TEST(KillResumeKernelTest, SimdCellsResumeBitIdenticalToScalarReference) {
 // mid-snapshot-write must leave either no checkpoint or a loadable
 // one, never a torn file.
 TEST(KillResumeForkTest, AbortMidSnapshotWriteNeverCorruptsCheckpoint) {
-  const Workload w = MakeWorkload();
+  const MinerTable w = Workload();
   const ExplorerOptions base =
-      BaseOptions(MinerKind::kFpGrowth, 0.12, 1);
+      BaseOptions(MinerKind::kFpGrowth, 0.12);
   const std::string reference = ReferenceSerialization(w, base);
 
   const std::vector<std::string> schedules = {
@@ -262,8 +75,7 @@ TEST(KillResumeForkTest, AbortMidSnapshotWriteNeverCorruptsCheckpoint) {
       "fpm.fpgrowth.grow@6:abort",
   };
   for (const std::string& schedule : schedules) {
-    const std::string dir = TempDir("fork");
-    std::remove((dir + "/mining.ckpt").c_str());
+    const std::string dir = FreshCheckpointDir("fork");
 
     const pid_t pid = fork();
     ASSERT_GE(pid, 0);
@@ -305,12 +117,11 @@ TEST(KillResumeForkTest, AbortMidSnapshotWriteNeverCorruptsCheckpoint) {
 // failure injected into that snapshot still returns the truncated
 // table with no corrupt file left behind.
 TEST(KillResumeGuardTest, BreachForcesSnapshotAndSurvivesWriteFault) {
-  const Workload w = MakeWorkload();
-  ExplorerOptions opts = BaseOptions(MinerKind::kFpGrowth, 0.12, 1);
+  const MinerTable w = Workload();
+  ExplorerOptions opts = BaseOptions(MinerKind::kFpGrowth, 0.12);
   opts.limits.max_patterns = 40;
   opts.on_limit = LimitAction::kTruncate;
-  const std::string dir = TempDir("guard");
-  std::remove((dir + "/mining.ckpt").c_str());
+  const std::string dir = FreshCheckpointDir("guard");
   opts.checkpoint_dir = dir;
   // Long cadence: without the breach override no snapshot would be due
   // after the first write, so a second file proves the forced flush.
@@ -346,10 +157,9 @@ TEST(KillResumeGuardTest, BreachForcesSnapshotAndSurvivesWriteFault) {
 // Stats plumbing: checkpoints_written / checkpoint_bytes /
 // faults_injected surface through ExplorerRunStats.
 TEST(KillResumeStatsTest, RunStatsReportRecoveryActivity) {
-  const Workload w = MakeWorkload();
-  ExplorerOptions opts = BaseOptions(MinerKind::kEclat, 0.3, 1);
-  const std::string dir = TempDir("stats");
-  std::remove((dir + "/mining.ckpt").c_str());
+  const MinerTable w = Workload();
+  ExplorerOptions opts = BaseOptions(MinerKind::kEclat, 0.3);
+  const std::string dir = FreshCheckpointDir("stats");
   opts.checkpoint_dir = dir;
 
   DivergenceExplorer explorer(opts);

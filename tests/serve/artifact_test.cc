@@ -20,45 +20,17 @@
 #include "recovery/atomic_file.h"
 #include "recovery/snapshot_file.h"
 #include "serve/server.h"
+#include "testing/table_bytes.h"
 #include "testing/test_explore.h"
-#include "util/random.h"
 
 namespace divexp {
 namespace serve {
 namespace {
 
 using divexp::testing::ExploreForTest;
-
-std::string TempDir(const std::string& leaf) {
-  const char* base = std::getenv("TMPDIR");
-  std::string dir = std::string(base != nullptr ? base : "/tmp") +
-                    "/divexp_artifact_test/" + leaf;
-  DIVEXP_CHECK_OK(recovery::EnsureDirectory(dir));
-  return dir;
-}
-
-PatternTable MakeRandomTable(uint64_t seed, size_t rows = 150,
-                             size_t attrs = 3, int domain = 2,
-                             double support = 0.01) {
-  Rng rng(seed);
-  std::vector<std::vector<int>> cells(rows, std::vector<int>(attrs));
-  std::string outcomes;
-  for (size_t r = 0; r < rows; ++r) {
-    for (size_t a = 0; a < attrs; ++a) {
-      cells[r][a] = static_cast<int>(rng.Below(domain));
-    }
-    const double u = rng.Uniform();
-    outcomes += (u < 0.35 ? 'T' : u < 0.8 ? 'F' : 'B');
-  }
-  return ExploreForTest(cells, std::vector<int>(attrs, domain), outcomes,
-                        support);
-}
-
-std::string WriteArtifactBytes(const PatternTable& table) {
-  auto bytes = SerializePatternTableArtifact(table);
-  DIVEXP_CHECK_OK(bytes.status());
-  return std::move(bytes).value();
-}
+using divexp::testing::RandomTableForTest;
+using divexp::testing::ScratchDir;
+using divexp::testing::TableBytes;
 
 void ExpectViewMatchesTable(const TableView& view,
                             const PatternTable& table) {
@@ -92,8 +64,8 @@ void ExpectViewMatchesTable(const TableView& view,
 }
 
 TEST(ArtifactTest, RoundTripPreservesEveryColumn) {
-  const PatternTable table = MakeRandomTable(1);
-  const std::string path = TempDir("roundtrip") + "/table.dvt";
+  const PatternTable table = RandomTableForTest(1, 150);
+  const std::string path = ScratchDir("artifact/roundtrip") + "/table.dvt";
   uint64_t bytes = 0;
   ASSERT_TRUE(WritePatternTableArtifact(path, table, &bytes).ok());
   EXPECT_GT(bytes, kArtifactHeaderSize);
@@ -108,7 +80,7 @@ TEST(ArtifactTest, RoundTripPreservesEveryColumn) {
   auto on_disk = recovery::ReadFileToString(path);
   ASSERT_TRUE(on_disk.ok());
   EXPECT_EQ(on_disk->size(), bytes);
-  EXPECT_EQ(WriteArtifactBytes(table), *on_disk);
+  EXPECT_EQ(TableBytes(table), *on_disk);
 
   const ArtifactInfo& info = (*artifact)->info();
   EXPECT_EQ(info.version, kArtifactVersion);
@@ -120,10 +92,10 @@ TEST(ArtifactTest, RoundTripPreservesEveryColumn) {
 }
 
 TEST(ArtifactTest, FingerprintAgreesBetweenTableAndArtifact) {
-  const PatternTable table = MakeRandomTable(2);
+  const PatternTable table = RandomTableForTest(2, 150);
   const uint64_t expected = TableFingerprint(table);
 
-  auto bytes = WriteArtifactBytes(table);
+  auto bytes = TableBytes(table);
   auto artifact = PatternTableArtifact::FromBuffer(bytes);
   ASSERT_TRUE(artifact.ok());
   const TableView& view = (*artifact)->view();
@@ -135,8 +107,8 @@ TEST(ArtifactTest, FingerprintAgreesBetweenTableAndArtifact) {
 }
 
 TEST(ArtifactTest, FingerprintDistinguishesTables) {
-  EXPECT_NE(TableFingerprint(MakeRandomTable(3)),
-            TableFingerprint(MakeRandomTable(4)));
+  EXPECT_NE(TableFingerprint(RandomTableForTest(3, 150)),
+            TableFingerprint(RandomTableForTest(4, 150)));
 }
 
 TEST(ArtifactTest, EmptyTableOnlyEmptyItemsetRoundTrips) {
@@ -151,7 +123,7 @@ TEST(ArtifactTest, EmptyTableOnlyEmptyItemsetRoundTrips) {
   const PatternTable table = ExploreForTest(cells, {2}, outcomes, 0.99);
   ASSERT_EQ(table.size(), 1u);
 
-  auto bytes = WriteArtifactBytes(table);
+  auto bytes = TableBytes(table);
   auto artifact = PatternTableArtifact::FromBuffer(
       bytes, ArtifactValidation::kFull);
   ASSERT_TRUE(artifact.ok()) << artifact.status().ToString();
@@ -167,7 +139,7 @@ TEST(ArtifactTest, SinglePatternTableRoundTrips) {
   const PatternTable table = ExploreForTest(cells, {1}, outcomes, 0.5);
   ASSERT_EQ(table.size(), 2u);
 
-  auto bytes = WriteArtifactBytes(table);
+  auto bytes = TableBytes(table);
   auto artifact = PatternTableArtifact::FromBuffer(
       bytes, ArtifactValidation::kFull);
   ASSERT_TRUE(artifact.ok()) << artifact.status().ToString();
@@ -176,7 +148,7 @@ TEST(ArtifactTest, SinglePatternTableRoundTrips) {
 }
 
 TEST(ArtifactTest, EveryTruncationFailsCleanly) {
-  const std::string bytes = WriteArtifactBytes(MakeRandomTable(5));
+  const std::string bytes = TableBytes(RandomTableForTest(5, 150));
   // Every short prefix must yield a Status, not UB. Dense coverage over
   // the header + section table, strided through the payload.
   for (size_t len = 0; len < bytes.size(); len = len < 512 ? len + 1 : len + 97) {
@@ -216,7 +188,7 @@ void ServeMixedQueries(std::unique_ptr<PatternTableArtifact> artifact,
 }
 
 TEST(ArtifactTest, ByteFlipsInHeaderAndSectionTableAreCaughtOnOpen) {
-  const std::string bytes = WriteArtifactBytes(MakeRandomTable(6));
+  const std::string bytes = TableBytes(RandomTableForTest(6, 150));
   const size_t envelope =
       kArtifactHeaderSize + kArtifactSectionCount * kArtifactSectionEntrySize;
   for (size_t pos = 0; pos < envelope; ++pos) {
@@ -228,8 +200,8 @@ TEST(ArtifactTest, ByteFlipsInHeaderAndSectionTableAreCaughtOnOpen) {
 }
 
 TEST(ArtifactTest, ByteFlipsInEverySectionAreCaughtByFullValidation) {
-  const PatternTable table = MakeRandomTable(7);
-  const std::string bytes = WriteArtifactBytes(table);
+  const PatternTable table = RandomTableForTest(7, 150);
+  const std::string bytes = TableBytes(table);
   auto clean = PatternTableArtifact::FromBuffer(bytes);
   ASSERT_TRUE(clean.ok());
   for (const ArtifactSectionInfo& section : (*clean)->info().sections) {
@@ -263,8 +235,8 @@ TEST(ArtifactTest, ByteFlipsInEverySectionAreCaughtByFullValidation) {
 }
 
 TEST(ArtifactTest, HeaderTierCorruptInteriorOffsetsServeCleanErrors) {
-  const PatternTable table = MakeRandomTable(12);
-  const std::string bytes = WriteArtifactBytes(table);
+  const PatternTable table = RandomTableForTest(12, 150);
+  const std::string bytes = TableBytes(table);
   auto clean = PatternTableArtifact::FromBuffer(bytes);
   ASSERT_TRUE(clean.ok());
   const ArtifactSectionInfo& ioff = (*clean)->info().sections[1];
@@ -297,8 +269,8 @@ TEST(ArtifactTest, HeaderTierCorruptInteriorOffsetsServeCleanErrors) {
 }
 
 TEST(ArtifactTest, HeaderTierCorruptLinkValuesServeCleanErrors) {
-  const PatternTable table = MakeRandomTable(13);
-  const std::string bytes = WriteArtifactBytes(table);
+  const PatternTable table = RandomTableForTest(13, 150);
+  const std::string bytes = TableBytes(table);
   auto clean = PatternTableArtifact::FromBuffer(bytes);
   ASSERT_TRUE(clean.ok());
   const ArtifactSectionInfo& links = (*clean)->info().sections[4];
@@ -330,8 +302,8 @@ TEST(ArtifactTest, HeaderTierCorruptLinkValuesServeCleanErrors) {
 }
 
 TEST(ArtifactTest, HeaderTierCorruptItemIdsRenderPlaceholders) {
-  const PatternTable table = MakeRandomTable(14);
-  const std::string bytes = WriteArtifactBytes(table);
+  const PatternTable table = RandomTableForTest(14, 150);
+  const std::string bytes = TableBytes(table);
   auto clean = PatternTableArtifact::FromBuffer(bytes);
   ASSERT_TRUE(clean.ok());
   const ArtifactSectionInfo& items = (*clean)->info().sections[0];
@@ -351,7 +323,7 @@ TEST(ArtifactTest, HeaderTierCorruptItemIdsRenderPlaceholders) {
 }
 
 TEST(ArtifactTest, WrongMagicAndByteSwappedMagicAreRejected) {
-  std::string bytes = WriteArtifactBytes(MakeRandomTable(8));
+  std::string bytes = TableBytes(RandomTableForTest(8, 150));
   std::string garbage = bytes;
   garbage[0] = 'X';
   EXPECT_FALSE(PatternTableArtifact::FromBuffer(garbage).ok());
@@ -367,7 +339,7 @@ TEST(ArtifactTest, WrongMagicAndByteSwappedMagicAreRejected) {
 }
 
 TEST(ArtifactTest, EmptyAndMissingFilesAreRejected) {
-  const std::string dir = TempDir("missing");
+  const std::string dir = ScratchDir("artifact/missing");
   EXPECT_FALSE(PatternTableArtifact::Open(dir + "/nope.dvt").ok());
   DIVEXP_CHECK_OK(recovery::WriteFileAtomic(dir + "/empty.dvt", ""));
   EXPECT_FALSE(PatternTableArtifact::Open(dir + "/empty.dvt").ok());
@@ -375,8 +347,8 @@ TEST(ArtifactTest, EmptyAndMissingFilesAreRejected) {
 }
 
 TEST(ArtifactTest, OpenServingTableMapsArtifactsAndRejectsGarbage) {
-  const PatternTable table = MakeRandomTable(11);
-  const std::string dir = TempDir("open");
+  const PatternTable table = RandomTableForTest(11, 150);
+  const std::string dir = ScratchDir("artifact/open");
   ASSERT_TRUE(
       WritePatternTableArtifact(dir + "/table.dvt", table).ok());
   DIVEXP_CHECK_OK(
@@ -418,7 +390,7 @@ TEST(ArtifactTest, OpenServingTableRejectsRetiredTableSnapshot) {
   w.PutU64(2);  // link offsets
   w.PutU64(0);
   w.PutU64(0);
-  const std::string path = TempDir("retired") + "/table.snap";
+  const std::string path = ScratchDir("artifact/retired") + "/table.snap";
   ASSERT_TRUE(recovery::WriteSnapshotFile(
                   path, static_cast<recovery::SnapshotKind>(2), w.data())
                   .ok());
@@ -459,31 +431,31 @@ TEST(ArtifactTest, SerializationIsDeterministic) {
   // Two independent explorations of the same data serialize to the same
   // bytes, and serializing one table twice does too: the harnesses that
   // compare TableBytes across run modes depend on it.
-  const std::string first = WriteArtifactBytes(MakeRandomTable(15));
-  const PatternTable again = MakeRandomTable(15);
-  EXPECT_EQ(WriteArtifactBytes(again), first);
-  EXPECT_EQ(WriteArtifactBytes(again), first);
-  EXPECT_NE(WriteArtifactBytes(MakeRandomTable(16)), first);
+  const std::string first = TableBytes(RandomTableForTest(15, 150));
+  const PatternTable again = RandomTableForTest(15, 150);
+  EXPECT_EQ(TableBytes(again), first);
+  EXPECT_EQ(TableBytes(again), first);
+  EXPECT_NE(TableBytes(RandomTableForTest(16, 150)), first);
 }
 
 TEST(ArtifactTest, SerializedBytesReflectTalliesCatalogAndDatasetSize) {
   // The bit-identity oracle is only as strict as the bytes: a change to
   // any logical column must change them.
   const std::string base =
-      WriteArtifactBytes(MakeHandTable(CanonicalPatterns()));
+      TableBytes(MakeHandTable(CanonicalPatterns()));
 
   std::vector<MinedPattern> bot_moved = CanonicalPatterns();
   bot_moved[2].counts = OutcomeCounts{4, 2, 0};  // same support, new rate
-  EXPECT_NE(WriteArtifactBytes(MakeHandTable(bot_moved)), base);
+  EXPECT_NE(TableBytes(MakeHandTable(bot_moved)), base);
 
   std::vector<MinedPattern> global_moved = CanonicalPatterns();
   global_moved[0].counts = OutcomeCounts{6, 3, 1};  // new f(D)
-  EXPECT_NE(WriteArtifactBytes(MakeHandTable(global_moved)), base);
+  EXPECT_NE(TableBytes(MakeHandTable(global_moved)), base);
 
-  EXPECT_NE(WriteArtifactBytes(MakeHandTable(CanonicalPatterns(),
+  EXPECT_NE(TableBytes(MakeHandTable(CanonicalPatterns(),
                                              MakeTwoAttrCatalog(), 20)),
             base);
-  EXPECT_NE(WriteArtifactBytes(MakeHandTable(
+  EXPECT_NE(TableBytes(MakeHandTable(
                 CanonicalPatterns(), MakeTwoAttrCatalog("w0"))),
             base);
 }
@@ -498,7 +470,7 @@ TEST(ArtifactTest, NoLinkHolesRoundTrip) {
   ASSERT_EQ(table.row_links(2)[1], PatternTable::kNoLink);
 
   auto artifact = PatternTableArtifact::FromBuffer(
-      WriteArtifactBytes(table), ArtifactValidation::kFull);
+      TableBytes(table), ArtifactValidation::kFull);
   ASSERT_TRUE(artifact.ok()) << artifact.status().ToString();
   ExpectViewMatchesTable((*artifact)->view(), table);
   const std::span<const uint32_t> links = (*artifact)->view().row_links(2);
@@ -507,8 +479,8 @@ TEST(ArtifactTest, NoLinkHolesRoundTrip) {
   EXPECT_EQ(links[1], PatternTable::kNoLink);
 
   // The hole is part of the bytes: the complete table differs.
-  EXPECT_NE(WriteArtifactBytes(MakeHandTable(CanonicalPatterns())),
-            WriteArtifactBytes(table));
+  EXPECT_NE(TableBytes(MakeHandTable(CanonicalPatterns())),
+            TableBytes(table));
 }
 
 TEST(ArtifactTest, SerializeRejectsNonCanonicalRowOrder) {
@@ -517,7 +489,7 @@ TEST(ArtifactTest, SerializeRejectsNonCanonicalRowOrder) {
   std::vector<MinedPattern> root_last = CanonicalPatterns();
   std::rotate(root_last.begin(), root_last.begin() + 1, root_last.end());
 
-  const std::string dir = TempDir("noncanonical");
+  const std::string dir = ScratchDir("artifact/noncanonical");
   for (const auto& mined : {swapped, root_last}) {
     const PatternTable table = MakeHandTable(mined);
     auto bytes = SerializePatternTableArtifact(table);
@@ -539,8 +511,8 @@ TEST(ArtifactTest, SerializeRejectsNonCanonicalRowOrder) {
 }
 
 TEST(ArtifactTest, FromBufferOwnsAnAlignedCopy) {
-  const PatternTable table = MakeRandomTable(17);
-  std::string bytes = WriteArtifactBytes(table);
+  const PatternTable table = RandomTableForTest(17, 150);
+  std::string bytes = TableBytes(table);
   auto artifact = PatternTableArtifact::FromBuffer(bytes);
   ASSERT_TRUE(artifact.ok()) << artifact.status().ToString();
 

@@ -21,36 +21,17 @@
 #include "serve/artifact.h"
 #include "serve/server.h"
 #include "testing/test_explore.h"
-#include "util/random.h"
 
 namespace divexp {
 namespace serve {
 namespace {
 
-using divexp::testing::ExploreForTest;
-
-std::string TempDir(const std::string& leaf) {
-  const char* base = std::getenv("TMPDIR");
-  std::string dir = std::string(base != nullptr ? base : "/tmp") +
-                    "/divexp_serve_conc_test/" + leaf;
-  DIVEXP_CHECK_OK(recovery::EnsureDirectory(dir));
-  return dir;
-}
+using divexp::testing::ScratchDir;
 
 ServingTable OpenTestTable(const std::string& leaf) {
-  Rng rng(42);
-  std::vector<std::vector<int>> cells(200, std::vector<int>(4));
-  std::string outcomes;
-  for (size_t r = 0; r < 200; ++r) {
-    for (size_t a = 0; a < 4; ++a) {
-      cells[r][a] = static_cast<int>(rng.Below(2));
-    }
-    const double u = rng.Uniform();
-    outcomes += (u < 0.35 ? 'T' : u < 0.8 ? 'F' : 'B');
-  }
   const PatternTable table =
-      ExploreForTest(cells, {2, 2, 2, 2}, outcomes, 0.02);
-  const std::string path = TempDir(leaf) + "/table.dvt";
+      divexp::testing::RandomTableForTest(42, 200, 4, 2, 0.02);
+  const std::string path = ScratchDir("conc/" + leaf) + "/table.dvt";
   DIVEXP_CHECK_OK(WritePatternTableArtifact(path, table));
   auto opened = OpenServingTable(path);
   DIVEXP_CHECK_OK(opened.status());
@@ -169,7 +150,7 @@ TEST(ServeConcurrencyTest, SocketDaemonServesConcurrentClients) {
   ServingTable table = OpenTestTable("daemon");
   QueryService service(&table);
   SocketServer server(&service);
-  const std::string socket_path = TempDir("daemon") + "/serve.sock";
+  const std::string socket_path = ScratchDir("conc/daemon") + "/serve.sock";
   ASSERT_TRUE(server.Start(socket_path, /*num_threads=*/4).ok());
 
   const std::vector<std::string> mix = RequestMix(table.view());
@@ -222,7 +203,7 @@ TEST(ServeConcurrencyTest, SilentConnectionIsDisconnectedAtIdleDeadline) {
   SocketServerOptions options;
   options.idle_timeout_ms = 200;
   SocketServer server(&service, options);
-  const std::string socket_path = TempDir("idle") + "/serve.sock";
+  const std::string socket_path = ScratchDir("conc/idle") + "/serve.sock";
   ASSERT_TRUE(server.Start(socket_path, /*num_threads=*/2).ok());
 
   const uint64_t idle_before = IdleDisconnects();
@@ -242,7 +223,7 @@ TEST(ServeConcurrencyTest, ActiveConnectionOutlivesTheIdleDeadline) {
   SocketServerOptions options;
   options.idle_timeout_ms = 300;
   SocketServer server(&service, options);
-  const std::string socket_path = TempDir("active") + "/serve.sock";
+  const std::string socket_path = ScratchDir("conc/active") + "/serve.sock";
   ASSERT_TRUE(server.Start(socket_path, /*num_threads=*/2).ok());
 
   // Requests spaced well inside the deadline, for several deadlines'
@@ -260,7 +241,7 @@ TEST(ServeConcurrencyTest, DrainStopDeliversResponsesThenEof) {
   ServingTable table = OpenTestTable("drain");
   QueryService service(&table);
   SocketServer server(&service);
-  const std::string socket_path = TempDir("drain") + "/serve.sock";
+  const std::string socket_path = ScratchDir("conc/drain") + "/serve.sock";
   ASSERT_TRUE(server.Start(socket_path, /*num_threads=*/2).ok());
 
   LineClient client(socket_path);
@@ -279,7 +260,7 @@ TEST(ServeConcurrencyTest, StopUnblocksIdleConnections) {
   ServingTable table = OpenTestTable("stop");
   QueryService service(&table);
   SocketServer server(&service);
-  const std::string socket_path = TempDir("stop") + "/serve.sock";
+  const std::string socket_path = ScratchDir("conc/stop") + "/serve.sock";
   ASSERT_TRUE(server.Start(socket_path, /*num_threads=*/2).ok());
 
   // An idle client holds a connection open; Stop must still return

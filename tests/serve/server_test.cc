@@ -17,41 +17,19 @@
 #include "recovery/snapshot_file.h"
 #include "serve/artifact.h"
 #include "testing/test_explore.h"
-#include "util/random.h"
 
 namespace divexp {
 namespace serve {
 namespace {
 
-using divexp::testing::ExploreForTest;
-
-std::string TempDir(const std::string& leaf) {
-  const char* base = std::getenv("TMPDIR");
-  std::string dir = std::string(base != nullptr ? base : "/tmp") +
-                    "/divexp_server_test/" + leaf;
-  DIVEXP_CHECK_OK(recovery::EnsureDirectory(dir));
-  return dir;
-}
-
-PatternTable MakeRandomTable(uint64_t seed) {
-  Rng rng(seed);
-  std::vector<std::vector<int>> cells(160, std::vector<int>(3));
-  std::string outcomes;
-  for (size_t r = 0; r < 160; ++r) {
-    for (size_t a = 0; a < 3; ++a) {
-      cells[r][a] = static_cast<int>(rng.Below(2));
-    }
-    const double u = rng.Uniform();
-    outcomes += (u < 0.35 ? 'T' : u < 0.8 ? 'F' : 'B');
-  }
-  return ExploreForTest(cells, {2, 2, 2}, outcomes, 0.02);
-}
+using divexp::testing::RandomTableForTest;
+using divexp::testing::ScratchDir;
 
 class ServerTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    const PatternTable table = MakeRandomTable(1);
-    const std::string path = TempDir("table") + "/table.dvt";
+    const PatternTable table = RandomTableForTest(1, 160, 3, 2, 0.02);
+    const std::string path = ScratchDir("server/table") + "/table.dvt";
     DIVEXP_CHECK_OK(WritePatternTableArtifact(path, table));
     auto opened = OpenServingTable(path);
     DIVEXP_CHECK_OK(opened.status());
@@ -234,7 +212,7 @@ TEST_F(ServerTest, ShapleyRejectsOversizedItemsets) {
 TEST_F(ServerTest, BrowseRejectsTargetsBeyondTheSubsetCapAndKeepsServing) {
   // {∅, one 26-item row} passes full validation; browsing the long row
   // used to abort the daemon in the 2^n subset enumeration.
-  const std::string path = TempDir("long_target") + "/table.dvt";
+  const std::string path = ScratchDir("server/long_target") + "/table.dvt";
   DIVEXP_CHECK_OK(
       WritePatternTableArtifact(path, testing::LongItemsetTable(26)));
   auto opened = OpenServingTable(path, ArtifactValidation::kFull);
@@ -291,9 +269,9 @@ TEST_F(ServerTest, OpenCountsMappedTablesAndRefusesOtherFiles) {
   // still have lying around — it must fail cleanly, naming the format.
   obs::Counter* opens =
       obs::MetricsRegistry::Default().GetCounter("serve.open.mmap");
-  const std::string dir = TempDir("open_count");
-  DIVEXP_CHECK_OK(
-      WritePatternTableArtifact(dir + "/table.dvt", MakeRandomTable(2)));
+  const std::string dir = ScratchDir("server/open_count");
+  DIVEXP_CHECK_OK(WritePatternTableArtifact(
+      dir + "/table.dvt", RandomTableForTest(2, 160, 3, 2, 0.02)));
   // Checkpoint-sized, so the open gets past the length check to the
   // magic.
   DIVEXP_CHECK_OK(recovery::WriteSnapshotFile(

@@ -22,15 +22,8 @@ namespace shard {
 namespace {
 
 using divexp::testing::MakeEncoded;
+using divexp::testing::ScratchDir;
 using divexp::testing::TableBytes;
-
-std::string TempDir(const std::string& leaf) {
-  const char* base = std::getenv("TMPDIR");
-  std::string dir = std::string(base != nullptr ? base : "/tmp") +
-                    "/divexp_shard_test/" + leaf;
-  DIVEXP_CHECK_OK(recovery::EnsureDirectory(dir));
-  return dir;
-}
 
 void RemoveShardCheckpoints(const std::string& dir, size_t shards) {
   for (size_t i = 0; i < shards; ++i) {
@@ -220,6 +213,9 @@ TEST(ShardedExplorerTest, FailPolicySurfacesTheShardError) {
   EXPECT_EQ(explorer.last_run_stats().retries_total, 2u);
 }
 
+// Shard 0 exhausts its retry budget on errors alone, and on an error
+// then a throw (both in-process death modes); either way the degraded
+// table equals a monolithic run over the surviving rows.
 TEST(ShardedExplorerTest, DropPolicyMatchesMonolithicOverSurvivingRows) {
   const Workload w = MakeWorkload();
   const size_t kShards = 4;
@@ -235,27 +231,52 @@ TEST(ShardedExplorerTest, DropPolicyMatchesMonolithicOverSurvivingRows) {
   surviving.dataset = MakeEncoded(surviving.rows, surviving.domains);
   const std::string reference = MonolithicReference(surviving);
 
-  ShardedExplorerOptions opts = BaseOptions(kShards);
-  opts.shard_parallelism = 1;
-  opts.retry.max_retries = 2;
-  opts.on_shard_failure = ShardFailurePolicy::kDrop;
+  for (const auto& [schedule, retries] :
+       {std::pair<std::string, size_t>{kExhaustShard0, 2},
+        {"shard.unit.mine@1:return-error,shard.unit.mine@2:throw", 1}}) {
+    SCOPED_TRACE(schedule);
+    ShardedExplorerOptions opts = BaseOptions(kShards);
+    opts.shard_parallelism = 1;
+    opts.retry.max_retries = retries;
+    opts.on_shard_failure = ShardFailurePolicy::kDrop;
 
-  ScopedFailPoints scope;
-  ASSERT_TRUE(scope.Arm(kExhaustShard0).ok());
+    ScopedFailPoints scope;
+    ASSERT_TRUE(scope.Arm(schedule).ok());
+    ShardedExplorer explorer(opts);
+    auto table = explorer.ExploreOutcomes(w.dataset, w.outcomes);
+    ASSERT_TRUE(table.ok()) << table.status().ToString();
+    EXPECT_EQ(TableBytes(*table), reference);
+
+    const ExplorerRunStats& stats = explorer.last_run_stats();
+    EXPECT_EQ(stats.shards_failed, 1u);
+    EXPECT_EQ(stats.shards_dropped, 1u);
+    EXPECT_EQ(stats.retries_total, retries);
+    EXPECT_LT(stats.rows_covered_fraction, 1.0);
+    const double expected_fraction =
+        static_cast<double>(w.dataset.num_rows - plan[0].size()) /
+        static_cast<double>(w.dataset.num_rows);
+    EXPECT_DOUBLE_EQ(stats.rows_covered_fraction, expected_fraction);
+  }
+}
+
+// Under thread isolation an attempt runner is ignored: the shards mine
+// in this process and report "thread".
+TEST(ShardedExplorerTest, ThreadIsolationIgnoresTheAttemptRunner) {
+  const Workload w = MakeWorkload();
+  ShardedExplorerOptions opts = BaseOptions(2);
+  size_t runner_calls = 0;
+  opts.attempt_runner = [&runner_calls](const ShardAttemptContext&) {
+    ++runner_calls;
+    ShardAttemptResult result;
+    result.status = Status::Internal("runner called under kThread");
+    return result;
+  };
   ShardedExplorer explorer(opts);
   auto table = explorer.ExploreOutcomes(w.dataset, w.outcomes);
   ASSERT_TRUE(table.ok()) << table.status().ToString();
-  EXPECT_EQ(TableBytes(*table), reference);
-
-  const ExplorerRunStats& stats = explorer.last_run_stats();
-  EXPECT_EQ(stats.shards_failed, 1u);
-  EXPECT_EQ(stats.shards_dropped, 1u);
-  EXPECT_EQ(stats.retries_total, 2u);
-  EXPECT_LT(stats.rows_covered_fraction, 1.0);
-  const double expected_fraction =
-      static_cast<double>(w.dataset.num_rows - plan[0].size()) /
-      static_cast<double>(w.dataset.num_rows);
-  EXPECT_DOUBLE_EQ(stats.rows_covered_fraction, expected_fraction);
+  EXPECT_EQ(TableBytes(*table), MonolithicReference(w));
+  EXPECT_EQ(runner_calls, 0u);
+  EXPECT_EQ(explorer.last_run_stats().shard_isolation, "thread");
 }
 
 TEST(ShardedExplorerTest, AllShardsDroppedFailsInsteadOfEmptyTable) {
@@ -273,7 +294,7 @@ TEST(ShardedExplorerTest, AllShardsDroppedFailsInsteadOfEmptyTable) {
 TEST(ShardedExplorerTest, StalePolicyWithFullCheckpointIsBitIdentical) {
   const Workload w = MakeWorkload();
   const std::string reference = MonolithicReference(w);
-  const std::string dir = TempDir("stale_full");
+  const std::string dir = ScratchDir("shard/stale_full");
   const size_t kShards = 4;
   RemoveShardCheckpoints(dir, kShards);
 
@@ -343,7 +364,7 @@ TEST(ShardedExplorerTest, StalePolicyWithoutCheckpointIsExactSubset) {
 TEST(ShardedExplorerTest, CorruptCheckpointIsDiscardedAndRetried) {
   const Workload w = MakeWorkload();
   const std::string reference = MonolithicReference(w);
-  const std::string dir = TempDir("corrupt_ckpt");
+  const std::string dir = ScratchDir("shard/corrupt_ckpt");
   const size_t kShards = 2;
   RemoveShardCheckpoints(dir, kShards);
   DIVEXP_CHECK_OK(recovery::EnsureDirectory(dir + "/shard_0"));

@@ -1,16 +1,29 @@
-// Shared helpers for constructing small encoded datasets in tests.
+// Shared helpers for constructing small encoded datasets in tests, and
+// a scratch directory per test suite.
 #ifndef DIVEXP_TESTS_TESTING_TEST_DATA_H_
 #define DIVEXP_TESTS_TESTING_TEST_DATA_H_
 
+#include <cstdlib>
 #include <string>
 #include <vector>
 
 #include "data/encoder.h"
 #include "fpm/transactions.h"
+#include "recovery/atomic_file.h"
 #include "util/status.h"
 
 namespace divexp {
 namespace testing {
+
+/// `$TMPDIR/divexp_tests/<leaf>` (TMPDIR defaults to /tmp), created if
+/// missing.
+inline std::string ScratchDir(const std::string& leaf) {
+  const char* base = std::getenv("TMPDIR");
+  std::string dir = std::string(base != nullptr ? base : "/tmp") +
+                    "/divexp_tests/" + leaf;
+  DIVEXP_CHECK_OK(recovery::EnsureDirectory(dir));
+  return dir;
+}
 
 /// Builds an EncodedDataset from integer cell values. Attribute k is
 /// named "a<k>", its values "v0", "v1", ... up to domain_sizes[k].
