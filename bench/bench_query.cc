@@ -73,21 +73,18 @@ PatternTable MakeTable(const Shape& shape, uint64_t seed) {
 
   constexpr uint64_t kDatasetRows = 100000;
   Rng rng(seed);
-  std::vector<MinedPattern> mined;
-  const auto add = [&](Itemset items) {
-    MinedPattern p;
-    p.items = std::move(items);
+  PatternBuffer mined;
+  const auto add = [&](const Itemset& items) {
     // Tallies only need to be internally plausible: the serving path
     // treats them as opaque numbers, and the post-pass derives every
     // stat per row.
-    p.counts.t = 100 + rng.Below(2000);
-    p.counts.f = 100 + rng.Below(2000);
-    p.counts.bot = rng.Below(500);
-    mined.push_back(std::move(p));
+    OutcomeCounts counts;
+    counts.t = 100 + rng.Below(2000);
+    counts.f = 100 + rng.Below(2000);
+    counts.bot = rng.Below(500);
+    mined.Append(items, counts);
   };
-  MinedPattern root;
-  root.counts = {35000, 45000, 20000};
-  mined.push_back(std::move(root));
+  mined.Append(ItemSpan(), OutcomeCounts{35000, 45000, 20000});
   const int d = shape.domain;
   const size_t n = shape.attributes;
   for (size_t a = 0; a < n; ++a) {
@@ -118,8 +115,6 @@ PatternTable MakeTable(const Shape& shape, uint64_t seed) {
       }
     }
   }
-  SortPatterns(&mined);  // the canonical order the artifact writer needs
-
   auto table =
       PatternTable::Create(std::move(mined), std::move(catalog), kDatasetRows);
   if (!table.ok()) {

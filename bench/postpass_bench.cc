@@ -120,15 +120,12 @@ int main(int argc, char** argv) {
   }
   MinerOptions mopts;
   mopts.min_support = support;
-  auto mined = MakeMiner(MinerKind::kFpGrowth)->Mine(*db, mopts);
+  auto mined = MakeMiner(MinerKind::kFpGrowth)->MineBuffer(*db, mopts);
   if (!mined.ok()) {
     std::fprintf(stderr, "mining failed: %s\n",
                  mined.status().ToString().c_str());
     return 1;
   }
-  // Canonical order, as the explorer hands patterns to Create; the
-  // artifact writer requires it.
-  SortPatterns(&*mined);
   const uint64_t patterns = mined->size() > 0 ? mined->size() - 1 : 0;
   std::printf("%s s=%s: %llu patterns, threads=%zu, repeat=%zu\n",
               dataset.c_str(), FormatDouble(support, 3).c_str(),

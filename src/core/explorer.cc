@@ -178,21 +178,19 @@ Result<PatternTable> DivergenceExplorer::ExploreOutcomes(
     DIVEXP_FAILPOINT_STATUS("core.explore.mine");
     // Injected faults may surface as exceptions from any seam the
     // miners do not themselves catch; contain them to this attempt.
-    Result<std::vector<MinedPattern>> mine_result = [&] {
+    Result<PatternBuffer> mine_result = [&] {
       try {
-        return miner->Mine(db, mopts);
+        return miner->MineBuffer(db, mopts);
       } catch (const std::exception& e) {
-        return Result<std::vector<MinedPattern>>(Status::Internal(
+        return Result<PatternBuffer>(Status::Internal(
             std::string("mining failed: ") + e.what()));
       }
     }();
     DIVEXP_RETURN_NOT_OK(mine_result.status());
-    std::vector<MinedPattern> mined = std::move(mine_result).value();
-    // Canonical shortest-first order: the table layout must not
-    // depend on the miner's traversal order (or on checkpoint/resume
-    // and shard-merge history), so every subset precedes its
-    // supersets and equal runs serialize bit-identically.
-    SortPatterns(&mined);
+    // In emission order; Create puts the rows in canonical order, so
+    // the table does not depend on the miner's traversal order (or on
+    // checkpoint/resume and shard-merge history).
+    PatternBuffer mined = std::move(mine_result).value();
     timings_.mining_seconds = sw.Seconds();
 
     if (guard != nullptr && guard->stopped() &&

@@ -68,11 +68,9 @@ Result<double> MultiPatternTable::Divergence(Metric metric,
 }
 
 Result<PatternTable> MultiPatternTable::Project(Metric metric) const {
-  std::vector<MinedPattern> mined;
-  mined.reserve(rows_.size());
+  PatternBuffer mined;
   for (const MultiPatternRow& row : rows_) {
-    mined.push_back(
-        MinedPattern{row.items, ProjectOutcome(metric, row.counts)});
+    mined.Append(row.items, ProjectOutcome(metric, row.counts));
   }
   return PatternTable::Create(std::move(mined), catalog_, num_rows_);
 }
@@ -108,23 +106,25 @@ Result<MultiPatternTable> MultiExplorer::Explore(
   DIVEXP_ASSIGN_OR_RETURN(
       TransactionDatabase db1,
       TransactionDatabase::Create(dataset, std::move(neg_view)));
-  DIVEXP_ASSIGN_OR_RETURN(std::vector<MinedPattern> mined1,
-                          miner->Mine(db1, mopts));
+  DIVEXP_ASSIGN_OR_RETURN(const PatternBuffer mined1,
+                          miner->MineBuffer(db1, mopts));
   DIVEXP_ASSIGN_OR_RETURN(
       TransactionDatabase db2,
       TransactionDatabase::Create(dataset, std::move(pos_view)));
-  DIVEXP_ASSIGN_OR_RETURN(std::vector<MinedPattern> mined2,
-                          miner->Mine(db2, mopts));
+  DIVEXP_ASSIGN_OR_RETURN(const PatternBuffer mined2,
+                          miner->MineBuffer(db2, mopts));
 
   // Same dataset, same support threshold: both runs enumerate exactly
   // the same frequent itemsets (support is outcome-independent).
   if (mined1.size() != mined2.size()) {
     return Status::Internal("channel pattern sets differ in size");
   }
-  std::unordered_map<Itemset, OutcomeCounts, ItemsetHash> pos_index;
+  std::unordered_map<Itemset, OutcomeCounts, ItemsetHash, ItemsetEq>
+      pos_index;
   pos_index.reserve(mined2.size());
-  for (MinedPattern& p : mined2) {
-    pos_index.emplace(std::move(p.items), p.counts);
+  for (size_t i = 0; i < mined2.size(); ++i) {
+    const ItemSpan items = mined2.row_items(i);
+    pos_index.emplace(Itemset(items.begin(), items.end()), mined2.counts(i));
   }
 
   MultiPatternTable table;
@@ -133,18 +133,20 @@ Result<MultiPatternTable> MultiExplorer::Explore(
   table.rows_.reserve(mined1.size());
   table.index_.reserve(mined1.size());
   const double denom = static_cast<double>(dataset.num_rows);
-  for (MinedPattern& p : mined1) {
-    auto it = pos_index.find(p.items);
+  for (size_t i = 0; i < mined1.size(); ++i) {
+    const ItemSpan items = mined1.row_items(i);
+    auto it = pos_index.find(items);
     if (it == pos_index.end()) {
       return Status::Internal("channel pattern sets disagree");
     }
+    const OutcomeCounts neg = mined1.counts(i);
     MultiPatternRow row;
-    row.counts.fp = p.counts.t;
-    row.counts.tn = p.counts.f;
+    row.counts.fp = neg.t;
+    row.counts.tn = neg.f;
     row.counts.tp = it->second.t;
     row.counts.fn = it->second.f;
     row.support = static_cast<double>(row.counts.total()) / denom;
-    row.items = std::move(p.items);
+    row.items.assign(items.begin(), items.end());
     table.index_.emplace(row.items, table.rows_.size());
     table.rows_.push_back(std::move(row));
   }

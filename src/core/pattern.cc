@@ -29,6 +29,17 @@ Result<PatternTable> PatternTable::Create(std::vector<MinedPattern> mined,
                                           size_t num_rows,
                                           RunGuard* guard,
                                           const PatternTableOptions& options) {
+  PatternBuffer buffer(mined);
+  std::vector<MinedPattern>().swap(mined);
+  return Create(std::move(buffer), std::move(catalog), num_rows, guard,
+                options);
+}
+
+Result<PatternTable> PatternTable::Create(PatternBuffer mined,
+                                          ItemCatalog catalog,
+                                          size_t num_rows,
+                                          RunGuard* guard,
+                                          const PatternTableOptions& options) {
   // Only enforce limits that are still live: when mining already
   // breached, the post-pass must still process the partial pattern set
   // (bounded by what mining emitted) so truncate mode has a table.
@@ -36,55 +47,59 @@ Result<PatternTable> PatternTable::Create(std::vector<MinedPattern> mined,
   PatternTable table;
   table.catalog_ = std::move(catalog);
   table.num_dataset_rows_ = num_rows;
-
-  // Locate the empty itemset to fix the global rate.
-  const MinedPattern* root = nullptr;
-  for (const MinedPattern& p : mined) {
-    if (p.items.empty()) {
-      root = &p;
-      break;
-    }
-  }
-  if (root == nullptr) {
-    return Status::InvalidArgument(
-        "mined patterns must include the empty itemset");
-  }
   if (mined.size() >= static_cast<size_t>(kNoLink)) {
     return Status::InvalidArgument("pattern table exceeds link capacity");
   }
-  table.global_rate_ = root->counts.PositiveRate();
-  const BetaPosterior global_post =
-      BetaPosteriorFromCounts(root->counts.t, root->counts.f);
+
+  obs::StageTimer order_timer(options.stages, obs::kStageOrder);
+  obs::ScopedSpan order_span(obs::kStageOrder);
+  const std::vector<uint32_t> order = CanonicalOrder(mined);
+  // The empty itemset, if present, sorts first; it fixes the global
+  // rate.
+  if (order.empty() || !mined.row_items(order[0]).empty()) {
+    return Status::InvalidArgument(
+        "mined patterns must include the empty itemset");
+  }
+  const OutcomeCounts root = mined.counts(order[0]);
+  table.global_rate_ = root.PositiveRate();
+  const BetaPosterior global_post = BetaPosteriorFromCounts(root.t, root.f);
   table.global_mean_ = global_post.mean;
   table.global_variance_ = global_post.variance;
 
-  // Rows are kept in input order until the guard trips. The first row
-  // (the empty itemset) is always kept so a truncated table still
+  // Rows are kept in canonical order until the guard trips. The first
+  // row (the empty itemset) is always kept so a truncated table still
   // carries the global rate.
   size_t n = 0;
   size_t total_items = 0;
-  for (const MinedPattern& p : mined) {
+  for (const uint32_t row : order) {
+    const size_t len = mined.row_items(row).size();
     if (enforce && n > 0 &&
-        (!guard->Tick() || !guard->AddMemory(RowBytes(p.items.size())))) {
+        (!guard->Tick() || !guard->AddMemory(RowBytes(len)))) {
       break;  // partial table; the guard has latched the breach
     }
-    total_items += p.items.size();
+    total_items += len;
     ++n;
   }
-  table.items_.reserve(total_items);
-  table.offsets_.assign(n + 1, 0);
+  // Gather the kept rows into the columns: the one copy of the mined
+  // patterns, after which the buffer is released.
+  table.items_.resize(total_items);
+  table.offsets_.resize(n + 1);
   table.tallies_.resize(kTalliesPerRow * n);
+  const std::span<const uint64_t> tallies = mined.tallies();
+  uint64_t at = 0;
+  table.offsets_[0] = 0;
   for (size_t i = 0; i < n; ++i) {
-    MinedPattern& p = mined[i];
-    table.items_.insert(table.items_.end(), p.items.begin(), p.items.end());
-    table.offsets_[i + 1] = table.items_.size();
-    uint64_t* tallies = table.tallies_.data() + kTalliesPerRow * i;
-    tallies[0] = p.counts.t;
-    tallies[1] = p.counts.f;
-    tallies[2] = p.counts.bot;
-    Itemset().swap(p.items);  // release as we go: one copy resident
+    const ItemSpan items = mined.row_items(order[i]);
+    std::copy(items.begin(), items.end(), table.items_.begin() + at);
+    at += items.size();
+    table.offsets_[i + 1] = at;
+    std::copy_n(tallies.begin() + kTalliesPerRow * order[i], kTalliesPerRow,
+                table.tallies_.begin() + kTalliesPerRow * i);
   }
-  std::vector<MinedPattern>().swap(mined);
+  mined.Release();
+  order_timer.AddItems(n);
+  order_timer.Finish();
+  order_span.End();
   DIVEXP_RETURN_NOT_OK(table.BuildIndex());
 
   // Post-index pass: per-row stats (Beta posterior + Welch t) and the

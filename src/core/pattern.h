@@ -13,6 +13,13 @@
 // materializing temporary itemsets and re-hashing them (see
 // docs/performance.md). No row owns a heap object.
 //
+// Rows are in *canonical order*: ascending itemset length, then
+// lexicographic items, so the empty itemset is row 0 and every subset
+// precedes its supersets. Create establishes it itself, with a radix
+// permutation of the mined buffer (fpm/pattern_buffer.h), whatever
+// order the miner, a resume or a shard merge emitted; the row index is
+// therefore the canonical rank of a row's itemset.
+//
 // Find is a flat open-addressing hash index: a power-of-two array of
 // row ids (at least 2 slots per row), linear probing, keyed by
 // ItemsetHash and compared against the row's items in place. It copies
@@ -71,8 +78,9 @@ struct PatternTableOptions {
   /// build; 1 = sequential. Results are identical across thread counts
   /// (both passes are pure per-row computations).
   size_t num_threads = 1;
-  /// Optional per-stage accounting sink: the index/stat pass records an
-  /// obs::kStagePostIndex record (a sub-interval of
+  /// Optional per-stage accounting sink: the canonical-order gather
+  /// records an obs::kStageOrder record and the index/stat pass an
+  /// obs::kStagePostIndex record (both sub-intervals of
   /// obs::kStageDivergence).
   obs::StageCollector* stages = nullptr;
 };
@@ -87,15 +95,27 @@ class PatternTable {
   /// subset of every frequent itemset).
   static constexpr uint32_t kNoLink = UINT32_MAX;
 
-  /// Builds from mined patterns. The empty itemset must be present (the
-  /// miners emit it); it defines the global rate f(D).
+  /// Builds from mined patterns in any row order; the table holds them
+  /// in canonical order. The empty itemset must be present (the miners
+  /// emit it); it defines the global rate f(D). The buffer is released
+  /// once its rows are copied.
   ///
   /// The optional `guard` governs the divergence/significance post-pass
   /// itself: if a deadline/memory limit trips mid-pass, the remaining
   /// patterns are dropped and the guard latches the breach (callers
-  /// decide between fail and truncate). A guard that already stopped
-  /// during mining is not re-enforced here, so a truncated mining run
-  /// still gets divergences for the patterns it produced.
+  /// decide between fail and truncate). Rows are charged in canonical
+  /// order, so a truncated table is a canonical prefix. A guard that
+  /// already stopped during mining is not re-enforced here, so a
+  /// truncated mining run still gets divergences for the patterns it
+  /// produced.
+  static Result<PatternTable> Create(PatternBuffer mined, ItemCatalog catalog,
+                                     size_t num_rows,
+                                     RunGuard* guard = nullptr,
+                                     const PatternTableOptions& options = {});
+
+  /// Create over one MinedPattern per row. Kept only for the end-to-end
+  /// benchmark's traced path and tests; deletion waits for the next
+  /// benchmark-only change.
   static Result<PatternTable> Create(std::vector<MinedPattern> mined,
                                      ItemCatalog catalog, size_t num_rows,
                                      RunGuard* guard = nullptr,
@@ -181,7 +201,7 @@ class PatternTable {
   // matching TopKQuery.
 
   /// Row indices sorted by `key` (descending when `descending`),
-  /// excluding the empty itemset. Ties break deterministically.
+  /// excluding the empty itemset. Ties break as in TopKRows.
   std::vector<size_t> Rank(RankKey key, bool descending = true) const;
 
   /// Row indices sorted by divergence (descending when
@@ -262,11 +282,16 @@ inline constexpr size_t kRowsPerTick = 64;
 
 /// Row indices of the top-k rows of any table read surface by
 /// `query.key`, excluding the empty itemset, filtered by support and
-/// length. Ties break on higher support, then shorter itemset, then
-/// lexicographic items: a strict total order (itemsets are unique), so
-/// the partial selection returns exactly the prefix a full stable sort
-/// would. Fails only when `guard` stops the scan or a served row is
-/// corrupt.
+/// length. Ties break on higher support, then lower row index: a strict
+/// total order, so the partial selection returns exactly the prefix of
+/// the full ranking. Every PatternTable is in canonical order, and so is
+/// every artifact that passes kFull validation, so there the row index
+/// tie-break means shorter itemset, then lexicographic items. A
+/// header-tier view of a corrupt, non-canonical file still gets a
+/// deterministic total order. A full ranking (k >= candidates) sorts
+/// (key, support, row) records; a smaller k partial-sorts row ids,
+/// building no records. Fails only when `guard` stops the scan or a
+/// served row is corrupt.
 template <typename Table>
 Result<std::vector<size_t>> TopKRows(const Table& table,
                                      const TopKQuery& query,
@@ -302,26 +327,41 @@ Result<std::vector<size_t>> TopKRows(const Table& table,
     if (query.max_len != 0 && len > query.max_len) continue;
     candidates.push_back(i);
   }
-  const auto less = [&](size_t a, size_t b) {
-    if (keys[a] != keys[b]) {
-      return query.descending ? keys[a] > keys[b] : keys[a] < keys[b];
-    }
-    if (table.support(a) != table.support(b)) {
-      return table.support(a) > table.support(b);
-    }
-    const ItemSpan ia = table.row_items(a);
-    const ItemSpan ib = table.row_items(b);
-    if (ia.size() != ib.size()) return ia.size() < ib.size();
-    return std::lexicographical_compare(ia.begin(), ia.end(), ib.begin(),
-                                        ib.end());
-  };
   if (query.k < candidates.size()) {
+    const auto less = [&](size_t a, size_t b) {
+      if (keys[a] != keys[b]) {
+        return query.descending ? keys[a] > keys[b] : keys[a] < keys[b];
+      }
+      if (table.support(a) != table.support(b)) {
+        return table.support(a) > table.support(b);
+      }
+      return a < b;
+    };
     std::partial_sort(candidates.begin(), candidates.begin() + query.k,
                       candidates.end(), less);
     candidates.resize(query.k);
-  } else {
-    std::sort(candidates.begin(), candidates.end(), less);
+    return candidates;
   }
+  // The same order over records that carry their operands, ascending:
+  // a descending key and the descending support are negated.
+  struct Record {
+    double key;
+    double support;
+    size_t row;
+  };
+  const double sign = query.descending ? -1.0 : 1.0;
+  std::vector<Record> records(candidates.size());
+  for (size_t j = 0; j < candidates.size(); ++j) {
+    const size_t i = candidates[j];
+    records[j] = Record{sign * keys[i], -table.support(i), i};
+  }
+  std::sort(records.begin(), records.end(),
+            [](const Record& a, const Record& b) {
+              if (a.key != b.key) return a.key < b.key;
+              if (a.support != b.support) return a.support < b.support;
+              return a.row < b.row;
+            });
+  for (size_t j = 0; j < records.size(); ++j) candidates[j] = records[j].row;
   return candidates;
 }
 

@@ -25,12 +25,14 @@
 #include <cstdint>
 #include <span>
 
+#include "fpm/pattern_buffer.h"
 #include "fpm/transactions.h"
 
 namespace divexp {
 
-/// Outcome tallies per row: (t, f, bot).
-inline constexpr size_t kTalliesPerRow = 3;
+// kTalliesPerRow, the tallies per row, comes with the miners' buffer
+// (fpm/pattern_buffer.h), whose columns these continue.
+
 /// Statistics per row, at the column indices below.
 inline constexpr size_t kStatsPerRow = 4;
 inline constexpr size_t kStatSupport = 0;

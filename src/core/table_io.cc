@@ -114,19 +114,16 @@ Result<PatternTable> ReadPatternTableCsv(const std::string& text,
     const Column& c = df.Get(col);
     return static_cast<uint64_t>(c.Numeric(r));
   };
-  std::vector<MinedPattern> mined;
-  mined.reserve(df.num_rows());
+  PatternBuffer mined;
   for (size_t r = 0; r < df.num_rows(); ++r) {
     const std::string cell = itemset_col.type() == ColumnType::kString
                                  ? itemset_col.strings()[r]
                                  : itemset_col.ValueString(r);
-    MinedPattern p;
-    DIVEXP_ASSIGN_OR_RETURN(p.items,
+    DIVEXP_ASSIGN_OR_RETURN(const Itemset items,
                             ParseItemset(catalog, parse_items(cell)));
-    p.counts = OutcomeCounts{count_at("t_count", r),
-                             count_at("f_count", r),
-                             count_at("bot_count", r)};
-    mined.push_back(std::move(p));
+    mined.Append(items, OutcomeCounts{count_at("t_count", r),
+                                      count_at("f_count", r),
+                                      count_at("bot_count", r)});
   }
   return PatternTable::Create(std::move(mined), std::move(catalog),
                               num_dataset_rows);

@@ -44,7 +44,7 @@ bool AllSubsetsFrequent(
 
 }  // namespace
 
-Result<std::vector<MinedPattern>> AprioriMiner::Mine(
+Result<PatternBuffer> AprioriMiner::MineBuffer(
     const TransactionDatabase& db, const MinerOptions& options) const {
   if (options.min_support <= 0.0 || options.min_support > 1.0) {
     return Status::InvalidArgument("min_support must be in (0, 1]");
@@ -64,8 +64,8 @@ Result<std::vector<MinedPattern>> AprioriMiner::Mine(
   // Approximate footprint of one row bitmap.
   const uint64_t bm_bytes = sizeof(Bitmap) + ((n + 63) / 64) * 8;
 
-  std::vector<MinedPattern> out;
-  out.push_back(MinedPattern{Itemset{}, db.totals()});
+  PatternBuffer out;
+  out.Append(ItemSpan(), db.totals());
   if (n == 0) return out;
 
   // Stage accounting: build covers the vertical bitmap scan, grow the
@@ -128,24 +128,24 @@ Result<std::vector<MinedPattern>> AprioriMiner::Mine(
   std::vector<LevelEntry> level;
   size_t k = 0;  // last completed level
   if (sink != nullptr) {
-    const std::vector<MinedPattern>* top = nullptr;
-    while (const std::vector<MinedPattern>* restored =
-               sink->RestoredUnit(k + 1)) {
+    const PatternBuffer* top = nullptr;
+    while (const PatternBuffer* restored = sink->RestoredUnit(k + 1)) {
       ++k;
       ctrl.RestorePriorEmissions(restored->size());
-      out.insert(out.end(), restored->begin(), restored->end());
+      out.Append(*restored);
       top = restored;
     }
     if (top != nullptr) {
       // Only the topmost restored level continues mining; rebuild its
       // row bitmaps from the singleton bitmaps.
-      for (const MinedPattern& p : *top) {
+      for (size_t p = 0; p < top->size(); ++p) {
+        const ItemSpan items = top->row_items(p);
         LevelEntry e;
-        e.items = p.items;
-        e.rows = item_rows[p.items[0]];
-        for (size_t j = 1; j < p.items.size(); ++j) {
+        e.items.assign(items.begin(), items.end());
+        e.rows = item_rows[items[0]];
+        for (size_t j = 1; j < items.size(); ++j) {
           Bitmap joined(n);
-          joined.AssignAnd(e.rows, item_rows[p.items[j]]);
+          joined.AssignAnd(e.rows, item_rows[items[j]]);
           e.rows = std::move(joined);
         }
         level.push_back(std::move(e));
@@ -153,7 +153,7 @@ Result<std::vector<MinedPattern>> AprioriMiner::Mine(
     }
   }
   if (k == 0) {
-    std::vector<MinedPattern> singleton_patterns;
+    PatternBuffer singleton_patterns;
     bool complete = true;
     for (uint32_t id = 0; id < db.num_items(); ++id) {
       const fpm::KernelTally kt = ops.tally(
@@ -167,9 +167,8 @@ Result<std::vector<MinedPattern>> AprioriMiner::Mine(
       LevelEntry e;
       e.items = Itemset{id};
       e.rows = std::move(item_rows[id]);
-      MinedPattern p{e.items, ToCounts(kt)};
-      if (sink != nullptr) singleton_patterns.push_back(p);
-      out.push_back(std::move(p));
+      if (sink != nullptr) singleton_patterns.Append(e.items, ToCounts(kt));
+      out.Append(e.items, ToCounts(kt));
       level.push_back(std::move(e));
     }
     k = 1;
@@ -264,7 +263,7 @@ Result<std::vector<MinedPattern>> AprioriMiner::Mine(
     // Emission stays on the calling thread: budget truncation is
     // deterministic even though counting was parallel.
     std::vector<LevelEntry> next;
-    std::vector<MinedPattern> next_patterns;
+    PatternBuffer next_patterns;
     bool complete = true;
     for (size_t c = 0; c < evaluated.size(); ++c) {
       if (!survives[c]) continue;
@@ -272,9 +271,8 @@ Result<std::vector<MinedPattern>> AprioriMiner::Mine(
         complete = false;
         break;
       }
-      MinedPattern p{evaluated[c].items, counts[c]};
-      if (sink != nullptr) next_patterns.push_back(p);
-      out.push_back(std::move(p));
+      if (sink != nullptr) next_patterns.Append(evaluated[c].items, counts[c]);
+      out.Append(evaluated[c].items, counts[c]);
       next.push_back(std::move(evaluated[c]));
     }
     if (guard != nullptr) {

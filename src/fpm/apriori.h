@@ -17,7 +17,7 @@ class AprioriMiner final : public FrequentPatternMiner {
  public:
   std::string name() const override { return "apriori"; }
 
-  Result<std::vector<MinedPattern>> Mine(
+  Result<PatternBuffer> MineBuffer(
       const TransactionDatabase& db,
       const MinerOptions& options) const override;
 };

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <exception>
-#include <iterator>
 #include <string>
 
 #include "fpm/kernels/kernels.h"
@@ -59,22 +58,28 @@ uint64_t TidListBytes(const std::vector<EclatItem>& items) {
 }
 
 void Grow(const TransactionDatabase& db, const GrowContext& ctx,
-          const Itemset& prefix, const std::vector<EclatItem>& siblings,
+          Itemset* prefix, const std::vector<EclatItem>& siblings,
           uint64_t min_count, size_t max_length, MineControl* ctrl,
-          std::vector<MinedPattern>* out);
+          PatternBuffer* out);
 
 // One step of the depth-first extension: sibling i becomes the next
-// prefix item, joined against the siblings after it.
+// prefix item, joined against the siblings after it. Siblings ascend
+// by item id and follow every prefix item, so the prefix grows by
+// push_back and stays sorted; it is restored before returning.
 void GrowOne(const TransactionDatabase& db, const GrowContext& ctx,
-             const Itemset& prefix, const std::vector<EclatItem>& siblings,
+             Itemset* prefix, const std::vector<EclatItem>& siblings,
              size_t i, uint64_t min_count, size_t max_length,
-             MineControl* ctrl, std::vector<MinedPattern>* out) {
+             MineControl* ctrl, PatternBuffer* out) {
   DIVEXP_FAILPOINT("fpm.eclat.grow");
   const EclatItem& head = siblings[i];
-  if (!ctrl->Emit(prefix.size() + 1)) return;
-  Itemset items = With(prefix, head.item);
-  out->push_back(MinedPattern{items, head.counts});
-  if (max_length != 0 && items.size() >= max_length) return;
+  if (!ctrl->Emit(prefix->size() + 1)) return;
+  prefix->push_back(head.item);
+  struct Pop {
+    Itemset* prefix;
+    ~Pop() { prefix->pop_back(); }
+  } pop{prefix};
+  out->Append(*prefix, head.counts);
+  if (max_length != 0 && prefix->size() >= max_length) return;
 
   std::vector<EclatItem> next;
   for (size_t j = i + 1; j < siblings.size(); ++j) {
@@ -110,16 +115,16 @@ void GrowOne(const TransactionDatabase& db, const GrowContext& ctx,
     guard->SubMemory(next_bytes);
     return;
   }
-  Grow(db, ctx, items, next, min_count, max_length, ctrl, out);
+  Grow(db, ctx, prefix, next, min_count, max_length, ctrl, out);
   if (guard != nullptr) guard->SubMemory(next_bytes);
 }
 
 // Depth-first extension of `prefix` (whose covered rows are implied by
 // the tid-lists in `siblings`).
 void Grow(const TransactionDatabase& db, const GrowContext& ctx,
-          const Itemset& prefix, const std::vector<EclatItem>& siblings,
+          Itemset* prefix, const std::vector<EclatItem>& siblings,
           uint64_t min_count, size_t max_length, MineControl* ctrl,
-          std::vector<MinedPattern>* out) {
+          PatternBuffer* out) {
   for (size_t i = 0; i < siblings.size(); ++i) {
     if (ctrl->stopped()) return;
     GrowOne(db, ctx, prefix, siblings, i, min_count, max_length, ctrl,
@@ -129,7 +134,7 @@ void Grow(const TransactionDatabase& db, const GrowContext& ctx,
 
 }  // namespace
 
-Result<std::vector<MinedPattern>> EclatMiner::Mine(
+Result<PatternBuffer> EclatMiner::MineBuffer(
     const TransactionDatabase& db, const MinerOptions& options) const {
   if (options.min_support <= 0.0 || options.min_support > 1.0) {
     return Status::InvalidArgument("min_support must be in (0, 1]");
@@ -144,8 +149,8 @@ Result<std::vector<MinedPattern>> EclatMiner::Mine(
   ctx.intersect_pruned =
       registry.GetCounter("fpm.kernel.intersect.pruned");
 
-  std::vector<MinedPattern> out;
-  out.push_back(MinedPattern{Itemset{}, db.totals()});
+  PatternBuffer out;
+  out.Append(ItemSpan(), db.totals());
   if (n == 0) return out;
 
   // Stage accounting: build covers the vertical scan + root tid-lists,
@@ -212,8 +217,9 @@ Result<std::vector<MinedPattern>> EclatMiner::Mine(
   if (options.num_threads <= 1 && sink == nullptr) {
     MineControl ctrl(guard);
     try {
-      Grow(db, ctx, Itemset{}, roots, min_count, options.max_length,
-           &ctrl, &out);
+      Itemset prefix;
+      Grow(db, ctx, &prefix, roots, min_count, options.max_length, &ctrl,
+           &out);
     } catch (const std::exception& e) {
       if (guard != nullptr) guard->SubMemory(root_bytes);
       return Status::Internal(std::string("eclat worker failed: ") +
@@ -230,19 +236,20 @@ Result<std::vector<MinedPattern>> EclatMiner::Mine(
   // semantics deterministic. Restored units are spliced in unmined;
   // only units that ran to completion are reported back.
   if (sink != nullptr) sink->BeginRun(roots.size());
-  std::vector<std::vector<MinedPattern>> partial(roots.size());
+  std::vector<PatternBuffer> partial(roots.size());
   try {
     ParallelFor(options.num_threads, roots.size(), [&](size_t i) {
       if (sink != nullptr) {
-        const std::vector<MinedPattern>* restored = sink->RestoredUnit(i);
+        const PatternBuffer* restored = sink->RestoredUnit(i);
         if (restored != nullptr) {
           partial[i] = *restored;
           return;
         }
       }
       MineControl ctrl(guard);
-      GrowOne(db, ctx, Itemset{}, roots, i, min_count,
-              options.max_length, &ctrl, &partial[i]);
+      Itemset prefix;
+      GrowOne(db, ctx, &prefix, roots, i, min_count, options.max_length,
+              &ctrl, &partial[i]);
       if (sink != nullptr && !ctrl.stopped()) {
         sink->UnitMined(i, partial[i]);
       }
@@ -253,9 +260,9 @@ Result<std::vector<MinedPattern>> EclatMiner::Mine(
                             e.what());
   }
   if (guard != nullptr) guard->SubMemory(root_bytes);
-  for (std::vector<MinedPattern>& chunk : partial) {
-    out.insert(out.end(), std::make_move_iterator(chunk.begin()),
-               std::make_move_iterator(chunk.end()));
+  for (PatternBuffer& chunk : partial) {
+    out.Append(chunk);
+    chunk.Release();
   }
   EnforcePatternBudget(guard, &out);
   close_grow();

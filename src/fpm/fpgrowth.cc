@@ -4,7 +4,6 @@
 #include <atomic>
 #include <cstdint>
 #include <exception>
-#include <iterator>
 #include <string>
 #include <vector>
 
@@ -133,8 +132,7 @@ class ScratchMeter {
 class Grower {
  public:
   Grower(const FpTree& top, uint64_t min_count, size_t max_length,
-         MineControl* ctrl, ScratchMeter* meter,
-         std::vector<MinedPattern>* out)
+         MineControl* ctrl, ScratchMeter* meter, PatternBuffer* out)
       : min_count_(min_count),
         max_length_(max_length),
         ctrl_(ctrl),
@@ -207,7 +205,7 @@ class Grower {
     pattern.assign(suffix.begin(), split);
     pattern.push_back(item);
     pattern.insert(pattern.end(), split, suffix.end());
-    out_->push_back(MinedPattern{pattern, counts});
+    out_->Append(pattern, counts);
     return true;
   }
 
@@ -281,7 +279,7 @@ class Grower {
   const size_t max_length_;
   MineControl* const ctrl_;
   ScratchMeter* const meter_;
-  std::vector<MinedPattern>* const out_;
+  PatternBuffer* const out_;
   uint64_t bytes_ = 0;
   // trees_[d] is the conditional tree at depth d (trees_[0] unused);
   // suffixes_[d] is the sorted d-item suffix its patterns extend.
@@ -299,7 +297,7 @@ class Grower {
 
 }  // namespace
 
-Result<std::vector<MinedPattern>> FpGrowthMiner::Mine(
+Result<PatternBuffer> FpGrowthMiner::MineBuffer(
     const TransactionDatabase& db, const MinerOptions& options) const {
   if (options.min_support <= 0.0 || options.min_support > 1.0) {
     return Status::InvalidArgument("min_support must be in (0, 1]");
@@ -308,8 +306,8 @@ Result<std::vector<MinedPattern>> FpGrowthMiner::Mine(
   const uint64_t min_count = MinCount(options.min_support, n);
   RunGuard* guard = options.guard;
 
-  std::vector<MinedPattern> out;
-  out.push_back(MinedPattern{Itemset{}, db.totals()});
+  PatternBuffer out;
+  out.Append(ItemSpan(), db.totals());
   if (n == 0) return out;
 
   // Stage accounting: build covers both data passes (tallies + tree
@@ -438,11 +436,11 @@ Result<std::vector<MinedPattern>> FpGrowthMiner::Mine(
   // unmined; only units that ran to completion are reported back.
   const size_t num_ranks = tree.item.size();
   if (sink != nullptr) sink->BeginRun(num_ranks);
-  std::vector<std::vector<MinedPattern>> partial(num_ranks);
+  std::vector<PatternBuffer> partial(num_ranks);
   try {
     ParallelFor(options.num_threads, num_ranks, [&](size_t i) {
       if (sink != nullptr) {
-        const std::vector<MinedPattern>* restored = sink->RestoredUnit(i);
+        const PatternBuffer* restored = sink->RestoredUnit(i);
         if (restored != nullptr) {
           partial[i] = *restored;
           return;
@@ -464,9 +462,9 @@ Result<std::vector<MinedPattern>> FpGrowthMiner::Mine(
                             e.what());
   }
   if (guard != nullptr) guard->SubMemory(tree_bytes);
-  for (std::vector<MinedPattern>& chunk : partial) {
-    out.insert(out.end(), std::make_move_iterator(chunk.begin()),
-               std::make_move_iterator(chunk.end()));
+  for (PatternBuffer& chunk : partial) {
+    out.Append(chunk);
+    chunk.Release();
   }
   EnforcePatternBudget(guard, &out);
   close_grow();

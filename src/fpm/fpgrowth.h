@@ -17,7 +17,7 @@ class FpGrowthMiner final : public FrequentPatternMiner {
  public:
   std::string name() const override { return "fpgrowth"; }
 
-  Result<std::vector<MinedPattern>> Mine(
+  Result<PatternBuffer> MineBuffer(
       const TransactionDatabase& db,
       const MinerOptions& options) const override;
 };

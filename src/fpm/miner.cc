@@ -45,25 +45,30 @@ uint64_t MinCount(double min_support, size_t num_rows) {
   return std::max<uint64_t>(count, 1);
 }
 
-void EnforcePatternBudget(RunGuard* guard,
-                          std::vector<MinedPattern>* patterns) {
+Result<std::vector<MinedPattern>> FrequentPatternMiner::Mine(
+    const TransactionDatabase& db, const MinerOptions& options) const {
+  DIVEXP_ASSIGN_OR_RETURN(const PatternBuffer mined, MineBuffer(db, options));
+  return mined.ToPatterns();
+}
+
+void EnforcePatternBudget(RunGuard* guard, PatternBuffer* patterns) {
   if (guard == nullptr) return;
   const uint64_t budget = guard->limits().max_patterns;
   if (budget == 0) return;
   if (patterns->size() > budget + 1) {  // +1 for the empty itemset
-    patterns->resize(budget + 1);
+    patterns->Truncate(budget + 1);
     guard->NotePatternBudgetBreach();
   }
 }
 
 void SortPatterns(std::vector<MinedPattern>* patterns) {
-  std::sort(patterns->begin(), patterns->end(),
-            [](const MinedPattern& a, const MinedPattern& b) {
-              if (a.items.size() != b.items.size()) {
-                return a.items.size() < b.items.size();
-              }
-              return a.items < b.items;
-            });
+  const std::vector<uint32_t> order = CanonicalOrder(
+      patterns->size(),
+      [patterns](size_t i) { return ItemSpan((*patterns)[i].items); });
+  std::vector<MinedPattern> sorted;
+  sorted.reserve(order.size());
+  for (const uint32_t i : order) sorted.push_back(std::move((*patterns)[i]));
+  patterns->swap(sorted);
 }
 
 }  // namespace divexp

@@ -10,18 +10,13 @@
 
 #include "fpm/itemset.h"
 #include "fpm/kernels/kernels.h"
+#include "fpm/pattern_buffer.h"
 #include "fpm/transactions.h"
 #include "obs/stage.h"
 #include "util/run_guard.h"
 #include "util/status.h"
 
 namespace divexp {
-
-/// One mined frequent itemset with its outcome tallies.
-struct MinedPattern {
-  Itemset items;
-  OutcomeCounts counts;
-};
 
 /// Checkpoint/resume hook for the miners (implemented by
 /// recovery::Checkpointer; declared here so fpm stays decoupled from
@@ -51,12 +46,11 @@ class MiningCheckpointSink {
   /// Patterns of `unit` restored from a snapshot, or nullptr if the
   /// unit must be mined. The pointee stays valid until the next
   /// BeginRun.
-  virtual const std::vector<MinedPattern>* RestoredUnit(size_t unit) = 0;
+  virtual const PatternBuffer* RestoredUnit(size_t unit) = 0;
 
   /// Reports a freshly completed unit. Persistence errors are absorbed
   /// by the sink (checkpointing is best-effort; mining continues).
-  virtual void UnitMined(size_t unit,
-                         const std::vector<MinedPattern>& patterns) = 0;
+  virtual void UnitMined(size_t unit, const PatternBuffer& patterns) = 0;
 
   /// Forces a snapshot of all completed units now (e.g. just before a
   /// limit breach truncates the run).
@@ -122,10 +116,17 @@ class FrequentPatternMiner {
 
   virtual std::string name() const = 0;
 
-  /// Mines all frequent itemsets (including the empty itemset, which
-  /// carries the whole-dataset tallies as its counts).
-  virtual Result<std::vector<MinedPattern>> Mine(
+  /// Mines all frequent itemsets (including the empty itemset, first,
+  /// which carries the whole-dataset tallies as its counts) into one
+  /// buffer, in the miner's emission order.
+  virtual Result<PatternBuffer> MineBuffer(
       const TransactionDatabase& db, const MinerOptions& options) const = 0;
+
+  /// MineBuffer as one MinedPattern per row. Kept only for the
+  /// end-to-end benchmark's traced path and tests; deletion waits for
+  /// the next benchmark-only change.
+  Result<std::vector<MinedPattern>> Mine(const TransactionDatabase& db,
+                                         const MinerOptions& options) const;
 };
 
 /// Factory for the built-in miners.
@@ -135,8 +136,10 @@ std::unique_ptr<FrequentPatternMiner> MakeMiner(MinerKind kind);
 /// `num_rows` (at least 1).
 uint64_t MinCount(double min_support, size_t num_rows);
 
-/// Sorts patterns by (length, lexicographic items) for deterministic
-/// comparison across miners.
+/// Sorts patterns into canonical order, (length, lexicographic items),
+/// with CanonicalOrder. PatternTable::Create canonicalizes its input
+/// itself; this is kept only for the end-to-end benchmark's traced path
+/// and tests, and goes with the next benchmark-only change.
 void SortPatterns(std::vector<MinedPattern>* patterns);
 
 /// Per-shard mining control used inside the miner backends. Polls the
@@ -165,8 +168,7 @@ class MineControl {
       return false;
     }
     if (!guard_->Tick() ||
-        !guard_->AddMemory(sizeof(MinedPattern) +
-                           num_items * sizeof(uint32_t))) {
+        !guard_->AddMemory(PatternBuffer::RowBytes(num_items))) {
       stop_ = true;
       return false;
     }
@@ -200,12 +202,11 @@ class MineControl {
   bool stop_ = false;
 };
 
-/// Truncates a merged pattern vector (empty itemset at index 0) to
-/// 1 + max_patterns entries, latching the budget breach on the guard.
+/// Truncates a merged pattern buffer (empty itemset at row 0) to
+/// 1 + max_patterns rows, latching the budget breach on the guard.
 /// No-op without a guard or budget. Used after parallel merges, where
 /// each shard was individually capped at the full budget.
-void EnforcePatternBudget(RunGuard* guard,
-                          std::vector<MinedPattern>* patterns);
+void EnforcePatternBudget(RunGuard* guard, PatternBuffer* patterns);
 
 }  // namespace divexp
 

@@ -31,6 +31,10 @@ inline constexpr const char* kStageTransactions = "explore.transactions";
 inline constexpr const char* kStageMineBuild = "mine.build";
 inline constexpr const char* kStageMineGrow = "mine.grow";
 inline constexpr const char* kStageDivergence = "explore.divergence";
+/// Sub-interval of explore.divergence: PatternTable::Create's radix
+/// permutation of the mined patterns into canonical order and the
+/// gather into the table's columns.
+inline constexpr const char* kStageOrder = "explore.order";
 /// Sub-interval of explore.divergence: the pattern table's lattice
 /// index build + parallel per-row stat pass (see docs/performance.md).
 inline constexpr const char* kStagePostIndex = "explore.post_index";

@@ -97,7 +97,7 @@ void Checkpointer::BeginRun(size_t num_units) {
   }
 }
 
-const std::vector<MinedPattern>* Checkpointer::RestoredUnit(size_t unit) {
+const PatternBuffer* Checkpointer::RestoredUnit(size_t unit) {
   // Workers call this concurrently; the map itself is only mutated
   // between runs, but the lookup takes mu_ anyway (once per unit, far
   // off the hot path) so the capability analysis can prove it.
@@ -128,8 +128,7 @@ uint64_t Checkpointer::checkpoint_bytes() const {
   return bytes_written_;
 }
 
-void Checkpointer::UnitMined(size_t unit,
-                             const std::vector<MinedPattern>& patterns) {
+void Checkpointer::UnitMined(size_t unit, const PatternBuffer& patterns) {
   MutexLock lock(mu_);
   state_.units[unit] = patterns;
   dirty_ = true;

@@ -73,10 +73,8 @@ class Checkpointer final : public MiningCheckpointSink {
 
   // MiningCheckpointSink:
   void BeginRun(size_t num_units) override EXCLUDES(mu_);
-  const std::vector<MinedPattern>* RestoredUnit(size_t unit) override
-      EXCLUDES(mu_);
-  void UnitMined(size_t unit,
-                 const std::vector<MinedPattern>& patterns) override
+  const PatternBuffer* RestoredUnit(size_t unit) override EXCLUDES(mu_);
+  void UnitMined(size_t unit, const PatternBuffer& patterns) override
       EXCLUDES(mu_);
   Status Flush() override EXCLUDES(mu_);
 
@@ -114,8 +112,7 @@ class Checkpointer final : public MiningCheckpointSink {
   /// BeginAttempt/BeginRun between runs; RestoredUnit hands out
   /// pointers into the map, which std::map keeps stable until the next
   /// BeginAttempt clears it (documented in MiningCheckpointSink).
-  std::map<uint64_t, std::vector<MinedPattern>> restored_
-      GUARDED_BY(mu_);
+  std::map<uint64_t, PatternBuffer> restored_ GUARDED_BY(mu_);
   bool resumed_ GUARDED_BY(mu_) = false;
 
   mutable Mutex mu_;

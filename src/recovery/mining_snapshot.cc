@@ -30,6 +30,18 @@ Result<MinerKind> MinerKindFromU32(uint32_t v) {
                                  std::to_string(v));
 }
 
+// One pattern as the snapshot stores it: its items as a u32 vector
+// (PutU32Vector's layout), then (t, f, bot).
+void PutPattern(ByteWriter* w, const PatternBuffer& patterns, size_t p) {
+  const ItemSpan items = patterns.row_items(p);
+  w->PutU64(items.size());
+  for (const uint32_t item : items) w->PutU32(item);
+  const OutcomeCounts counts = patterns.counts(p);
+  w->PutU64(counts.t);
+  w->PutU64(counts.f);
+  w->PutU64(counts.bot);
+}
+
 uint32_t MinerKindToU32(MinerKind kind) {
   switch (kind) {
     case MinerKind::kFpGrowth:
@@ -74,11 +86,8 @@ std::string SerializeMiningState(const MiningStateSnapshot& state) {
   for (const auto& [unit, patterns] : state.units) {
     w.PutU64(unit);
     w.PutU64(patterns.size());
-    for (const MinedPattern& p : patterns) {
-      w.PutU32Vector(p.items);
-      w.PutU64(p.counts.t);
-      w.PutU64(p.counts.f);
-      w.PutU64(p.counts.bot);
+    for (size_t p = 0; p < patterns.size(); ++p) {
+      PutPattern(&w, patterns, p);
     }
   }
   return w.Take();
@@ -109,15 +118,16 @@ Result<MiningStateSnapshot> DeserializeMiningState(
                                 " claims " + std::to_string(num_patterns) +
                                 " patterns, more than the payload holds");
     }
-    std::vector<MinedPattern> patterns;
-    patterns.reserve(num_patterns);
+    PatternBuffer patterns;
+    patterns.Reserve(num_patterns, 0);
+    std::vector<uint32_t> items;
     for (uint64_t p = 0; p < num_patterns; ++p) {
-      MinedPattern pattern;
-      DIVEXP_RETURN_NOT_OK(r.GetU32Vector(&pattern.items));
-      DIVEXP_ASSIGN_OR_RETURN(pattern.counts.t, r.GetU64());
-      DIVEXP_ASSIGN_OR_RETURN(pattern.counts.f, r.GetU64());
-      DIVEXP_ASSIGN_OR_RETURN(pattern.counts.bot, r.GetU64());
-      patterns.push_back(std::move(pattern));
+      OutcomeCounts counts;
+      DIVEXP_RETURN_NOT_OK(r.GetU32Vector(&items));
+      DIVEXP_ASSIGN_OR_RETURN(counts.t, r.GetU64());
+      DIVEXP_ASSIGN_OR_RETURN(counts.f, r.GetU64());
+      DIVEXP_ASSIGN_OR_RETURN(counts.bot, r.GetU64());
+      patterns.Append(items, counts);
     }
     state.units.emplace(unit, std::move(patterns));
   }
@@ -168,11 +178,8 @@ Status SaveMiningStateChunked(const std::string& path,
   for (const auto& [unit, patterns] : state.units) {
     chunk.PutU64(unit);
     chunk.PutU64(patterns.size());
-    for (const MinedPattern& p : patterns) {
-      chunk.PutU32Vector(p.items);
-      chunk.PutU64(p.counts.t);
-      chunk.PutU64(p.counts.f);
-      chunk.PutU64(p.counts.bot);
+    for (size_t p = 0; p < patterns.size(); ++p) {
+      PutPattern(&chunk, patterns, p);
       if (chunk.data().size() >= kSnapshotChunkBytes) {
         DIVEXP_RETURN_NOT_OK(flush());
       }

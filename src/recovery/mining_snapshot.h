@@ -43,7 +43,7 @@ struct MiningStateSnapshot {
   /// count emerges as mining proceeds).
   uint64_t num_units = 0;
   /// Completed units in ascending unit order.
-  std::map<uint64_t, std::vector<MinedPattern>> units;
+  std::map<uint64_t, PatternBuffer> units;
 };
 
 /// Order- and content-sensitive 64-bit fingerprint of a transaction

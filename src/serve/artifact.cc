@@ -40,32 +40,15 @@ void PatchF64(std::string* out, size_t offset, double v) {
   std::memcpy(out->data() + offset, &v, sizeof(v));
 }
 
-/// True when `a` orders strictly before `b` canonically.
-bool CanonicalLess(ItemSpan a, ItemSpan b) {
-  if (a.size() != b.size()) return a.size() < b.size();
-  return std::lexicographical_compare(a.begin(), a.end(), b.begin(),
-                                      b.end());
-}
-
-/// The writer-side contract: canonical order makes the view's binary
-/// search correct and implies the empty itemset sits at row 0.
-Status CheckCanonicalOrder(const PatternTable& table) {
+/// The writer-side contract is canonical order, which makes the view's
+/// binary search correct and puts the empty itemset at row 0.
+/// PatternTable::Create establishes it for every table it builds; only
+/// a default-constructed table has no rows.
+Status CheckNotEmpty(const PatternTable& table) {
   if (table.size() == 0) {
     return Status::InvalidArgument(
         "pattern table is empty; even a trivial table carries the "
         "empty itemset");
-  }
-  if (!table.row_items(0).empty()) {
-    return Status::InvalidArgument(
-        "pattern table rows are not in canonical order: the empty "
-        "itemset must come first (run SortPatterns before Create)");
-  }
-  for (size_t i = 1; i < table.size(); ++i) {
-    if (!CanonicalLess(table.row_items(i - 1), table.row_items(i))) {
-      return Status::InvalidArgument(
-          "pattern table rows are not in canonical order at row " +
-          std::to_string(i) + " (run SortPatterns before Create)");
-    }
   }
   return Status::OK();
 }
@@ -144,14 +127,14 @@ const char* ArtifactSectionName(ArtifactSection id) {
 }
 
 uint64_t TableFingerprint(const PatternTable& table) {
-  return divexp::TableFingerprint(table, table.catalog(),
+  return divexp::TableFingerprint(table.columns(), table.catalog(),
                                   table.num_dataset_rows(),
                                   table.global_rate(), table.global_mean(),
                                   table.global_variance());
 }
 
 Result<std::string> SerializePatternTableArtifact(const PatternTable& table) {
-  DIVEXP_RETURN_NOT_OK(CheckCanonicalOrder(table));
+  DIVEXP_RETURN_NOT_OK(CheckNotEmpty(table));
   const size_t n = table.size();
 
   const TableColumns columns = table.columns();
@@ -293,7 +276,8 @@ Status PatternTableArtifact::Attach(ArtifactValidation validation) {
   }
   // The reserved word sits after the header CRC, so it is validated
   // explicitly; a future format revision can repurpose it behind a
-  // version bump without colliding with v1 files carrying noise there.
+  // version bump without colliding with older files carrying noise
+  // there.
   if (rd_u32(84) != 0) {
     return Status::InvalidArgument(
         "artifact reserved header field is not zero");
@@ -313,7 +297,8 @@ Status PatternTableArtifact::Attach(ArtifactValidation validation) {
   if (rd_u32(72) != kArtifactSectionCount) {
     return Status::InvalidArgument(
         "artifact declares " + std::to_string(rd_u32(72)) +
-        " sections, format v1 has " +
+        " sections, format v" + std::to_string(kArtifactVersion) +
+        " has " +
         std::to_string(kArtifactSectionCount));
   }
   if (rd_u32(76) !=

@@ -1,4 +1,4 @@
-// Zero-copy pattern-table artifact (format v1).
+// Zero-copy pattern-table artifact (format v2).
 //
 // The artifact is the one binary format of a pattern table (CSV in
 // core/table_io.h is the human export): a relocatable, offset-based
@@ -17,6 +17,9 @@
 //   12      4     endian_tag     kArtifactEndianTag (0x01020304)
 //   16      8     file_size      total bytes, must equal the file
 //   24      8     fingerprint    TableFingerprint of the logical table
+//                                (v2: the word-wise hash; v1 files,
+//                                whose fingerprint was byte-wise FNV-1a,
+//                                fail the version check)
 //   32      8     num_rows
 //   40      8     num_dataset_rows
 //   48      8     global_rate    f(D)
@@ -39,8 +42,8 @@
 //   7 catalog       ByteWriter blob: per attribute, name + value labels
 //
 // Rows are stored in canonical order (length, then lexicographic items
-// — the SortPatterns order), so lookup is a binary search over the
-// offset arrays and the artifact needs no hash index.
+// — the order PatternTable::Create establishes), so lookup is a binary
+// search over the offset arrays and the artifact needs no hash index.
 //
 // Validation is two-tier: kHeader (the default for Open) verifies the
 // envelope CRCs plus O(1) structural arithmetic and parses the catalog;
@@ -70,7 +73,7 @@ namespace divexp {
 namespace serve {
 
 inline constexpr uint64_t kArtifactMagic = 0x4C42545058455644ull;
-inline constexpr uint32_t kArtifactVersion = 1;
+inline constexpr uint32_t kArtifactVersion = 2;
 inline constexpr uint32_t kArtifactEndianTag = 0x01020304u;
 inline constexpr size_t kArtifactHeaderSize = 88;
 inline constexpr size_t kArtifactSectionCount = 7;
@@ -117,10 +120,9 @@ struct ArtifactInfo {
 uint64_t TableFingerprint(const PatternTable& table);
 
 /// Serializes `table` into artifact bytes. Rows must be in canonical
-/// order with the empty itemset first (the explorer's SortPatterns
-/// output satisfies this); InvalidArgument otherwise — the
-/// binary-search contract would silently break. Deterministic: equal
-/// tables give equal bytes.
+/// order with the empty itemset first (every PatternTable is);
+/// InvalidArgument otherwise — the binary-search contract would
+/// silently break. Deterministic: equal tables give equal bytes.
 Result<std::string> SerializePatternTableArtifact(const PatternTable& table);
 
 /// SerializePatternTableArtifact + an atomic write to `path`.

@@ -4,8 +4,8 @@
 // allocates.
 //
 // Rows are in *canonical order* (ascending itemset length, then
-// lexicographic items — the order SortPatterns establishes before
-// PatternTable::Create), which is what makes Find a binary search
+// lexicographic items — the order PatternTable::Create establishes),
+// which is what makes Find a binary search
 // instead of a hash probe: the artifact needs no side index, so opening
 // it deserializes nothing.
 //
@@ -78,10 +78,7 @@ struct TableView : TableColumns {
   /// True when row i's itemset orders strictly before `q` in canonical
   /// order (length first, then lexicographic).
   bool RowLess(size_t i, ItemSpan q) const {
-    const ItemSpan r = row_items(i);
-    if (r.size() != q.size()) return r.size() < q.size();
-    return std::lexicographical_compare(r.begin(), r.end(), q.begin(),
-                                        q.end());
+    return CanonicalLess(row_items(i), q);
   }
 
   /// Row index of an itemset via binary search over the canonical

@@ -69,20 +69,32 @@ Result<ShardMergeResult> MergeShardContributions(
           " contribution fingerprint mismatch (contribution was mined "
           "from different data)");
     }
-    for (const MinedPattern& p : c.patterns) {
-      if (p.items.empty()) continue;  // rebuilt from totals below
-      if (options.max_length != 0 && p.items.size() > options.max_length) {
+    for (size_t p = 0; p < c.patterns.size(); ++p) {
+      const ItemSpan items = c.patterns.row_items(p);
+      if (items.empty()) continue;  // rebuilt from totals below
+      if (options.max_length != 0 && items.size() > options.max_length) {
         continue;
       }
-      candidate_set.insert(p.items);
+      if (candidate_set.find(items) == candidate_set.end()) {
+        candidate_set.emplace(items.begin(), items.end());
+      }
     }
   }
-  std::vector<Itemset> candidates(candidate_set.begin(),
-                                  candidate_set.end());
-  // Deterministic verification order (the recount itself is
-  // order-independent, but stable iteration keeps timing and any
-  // future tie-breaking reproducible).
-  std::sort(candidates.begin(), candidates.end());
+  // Canonical verification order: the recount itself is
+  // order-independent, but the closure check below needs every subset
+  // before its supersets, and a fixed order keeps timing reproducible.
+  std::vector<Itemset> candidates;
+  {
+    std::vector<Itemset> unordered(candidate_set.begin(),
+                                   candidate_set.end());
+    candidate_set.clear();
+    const std::vector<uint32_t> order = CanonicalOrder(
+        unordered.size(), [&](size_t i) { return ItemSpan(unordered[i]); });
+    candidates.reserve(order.size());
+    for (const uint32_t i : order) {
+      candidates.push_back(std::move(unordered[i]));
+    }
+  }
 
   ShardMergeResult result;
   result.candidates = candidates.size();
@@ -205,35 +217,27 @@ Result<ShardMergeResult> MergeShardContributions(
   // Keep candidates meeting the global threshold, then enforce
   // downward closure: with partial candidate sets (stale-checkpoint
   // degradation) a kept pattern could otherwise lack a sub-pattern,
-  // which the analyses built on the table assume present. Closure is
-  // checked shortest-first so a kept pattern's whole subset chain is
-  // kept.
-  std::vector<MinedPattern> frequent;
-  for (size_t ci = 0; ci < candidates.size(); ++ci) {
-    if (counts[ci].total() >= min_count) {
-      frequent.push_back(
-          MinedPattern{std::move(candidates[ci]), counts[ci]});
-    }
-  }
-  SortPatterns(&frequent);
+  // which the analyses built on the table assume present. Candidates
+  // are in canonical order, so closure is checked shortest-first and a
+  // kept pattern's whole subset chain is kept.
   ItemsetSet kept;
-  std::vector<MinedPattern> closed;
-  closed.push_back(MinedPattern{Itemset{}, totals});
-  for (MinedPattern& p : frequent) {
+  result.patterns.Append(ItemSpan(), totals);
+  for (size_t ci = 0; ci < candidates.size(); ++ci) {
+    if (counts[ci].total() < min_count) continue;
+    const Itemset& items = candidates[ci];
     bool subsets_present = true;
-    if (p.items.size() > 1) {
-      for (uint32_t id : p.items) {
-        if (kept.find(Without(p.items, id)) == kept.end()) {
+    if (items.size() > 1) {
+      for (size_t j = 0; j < items.size(); ++j) {
+        if (kept.find(ItemsetSkipView{items, j}) == kept.end()) {
           subsets_present = false;
           break;
         }
       }
     }
     if (!subsets_present) continue;
-    kept.insert(p.items);
-    closed.push_back(std::move(p));
+    result.patterns.Append(items, counts[ci]);
+    kept.insert(std::move(candidates[ci]));
   }
-  result.patterns = std::move(closed);
   obs::MetricsRegistry::Default()
       .GetCounter("shard.merge_candidates")
       ->Add(result.candidates);

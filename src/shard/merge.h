@@ -47,7 +47,7 @@ std::vector<ShardRange> MakeShardPlan(size_t num_rows, size_t num_shards);
 struct ShardContribution {
   size_t shard = 0;
   uint64_t fingerprint = 0;
-  std::vector<MinedPattern> patterns;
+  PatternBuffer patterns;
 };
 
 struct ShardMergeOptions {
@@ -67,9 +67,9 @@ struct ShardMergeOptions {
 
 struct ShardMergeResult {
   /// Globally frequent patterns over the covered rows, with exact
-  /// tallies, in canonical SortPatterns order; the empty itemset
-  /// (whole covered population) is always present.
-  std::vector<MinedPattern> patterns;
+  /// tallies, in canonical order; the empty itemset (whole covered
+  /// population) is always present, first.
+  PatternBuffer patterns;
   /// Rows the tallies describe (sum of the included shards' sizes).
   size_t covered_rows = 0;
   /// Distinct candidates verified in phase 2.

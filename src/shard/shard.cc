@@ -122,7 +122,7 @@ ShardOutcome RunShardUnit(size_t shard_index, const ShardWork& work,
   if (retried.retries > 0) {
     reg.GetCounter("shard.retries")->Add(retried.retries);
   }
-  if (!out.status.ok()) out.patterns.clear();
+  if (!out.status.ok()) out.patterns.Release();
   out.stages = collector.stages();
   return out;
 }
@@ -346,11 +346,8 @@ Result<PatternTable> ShardedExplorer::ExploreOutcomes(
             ShardContribution stale;
             stale.shard = i;
             stale.fingerprint = snapshot->fingerprint;
-            for (auto& [unit, patterns] : snapshot->units) {
-              stale.patterns.insert(
-                  stale.patterns.end(),
-                  std::make_move_iterator(patterns.begin()),
-                  std::make_move_iterator(patterns.end()));
+            for (const auto& [unit, patterns] : snapshot->units) {
+              stale.patterns.Append(patterns);
             }
             contributions.push_back(std::move(stale));
           }

@@ -136,7 +136,7 @@ struct ShardOutcome {
   /// and verified again at merge time.
   uint64_t fingerprint = 0;
   /// Locally frequent patterns (meaningless unless status is OK).
-  std::vector<MinedPattern> patterns;
+  PatternBuffer patterns;
   size_t attempts = 0;
   size_t retries = 0;
   bool resumed = false;
@@ -152,7 +152,8 @@ struct ShardOutcome {
 /// Explore/ExploreOutcomes surface. Any fully recovered run — every
 /// shard eventually succeeded, regardless of shard count, retry
 /// history or resume provenance — serializes bit-identically to the
-/// monolithic explorer (both emit canonical SortPatterns order).
+/// monolithic explorer (PatternTable::Create puts every table in
+/// canonical order).
 class ShardedExplorer {
  public:
   explicit ShardedExplorer(ShardedExplorerOptions options)

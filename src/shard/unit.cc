@@ -92,9 +92,9 @@ ShardAttemptResult RunShardAttempt(const TransactionDatabase& db,
     mopts.stages = stages;
     mopts.checkpoint = checkpointer.get();
 
-    std::vector<MinedPattern> patterns;
+    PatternBuffer patterns;
     try {
-      Result<std::vector<MinedPattern>> mined = miner.Mine(db, mopts);
+      Result<PatternBuffer> mined = miner.MineBuffer(db, mopts);
       if (!mined.ok()) {
         absorb_checkpoint_stats();
         return mined.status();
@@ -138,7 +138,7 @@ ShardAttemptResult RunShardAttempt(const TransactionDatabase& db,
     return Status::OK();
   };
   out.status = attempt();
-  if (!out.status.ok()) out.patterns.clear();
+  if (!out.status.ok()) out.patterns.Release();
   return out;
 }
 

@@ -46,7 +46,7 @@ struct ShardAttemptResult {
   /// unless the shard.unit.fingerprint failpoint corrupted it).
   uint64_t fingerprint = 0;
   /// Locally frequent patterns (meaningless unless status is OK).
-  std::vector<MinedPattern> patterns;
+  PatternBuffer patterns;
   bool resumed = false;
   uint64_t checkpoints_written = 0;
   uint64_t checkpoint_bytes = 0;

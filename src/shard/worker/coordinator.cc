@@ -114,21 +114,16 @@ void AbsorbStats(const FrameStats& stats, ShardAttemptResult* out) {
 /// Reads the worker's result artifact back into the exact contribution
 /// the in-thread path would have produced: every row, empty itemset
 /// included, with its original (t, f, bot) tallies.
-Status ReconstructPatterns(const std::string& path,
-                           std::vector<MinedPattern>* patterns) {
+Status ReconstructPatterns(const std::string& path, PatternBuffer* patterns) {
   DIVEXP_ASSIGN_OR_RETURN(
       const std::unique_ptr<serve::PatternTableArtifact> artifact,
       serve::PatternTableArtifact::Open(
           path, serve::ArtifactValidation::kFull));
   const serve::TableView& view = artifact->view();
-  patterns->clear();
-  patterns->reserve(view.size());
+  *patterns = PatternBuffer();
+  patterns->Reserve(view.size(), view.items.size());
   for (size_t i = 0; i < view.size(); ++i) {
-    MinedPattern p;
-    const ItemSpan items = view.row_items(i);
-    p.items.assign(items.begin(), items.end());
-    p.counts = view.counts(i);
-    patterns->push_back(std::move(p));
+    patterns->Append(view.row_items(i), view.counts(i));
   }
   return Status::OK();
 }
@@ -346,7 +341,7 @@ ShardAttemptResult RunProcessAttempt(const ProcessIsolationOptions& options,
   Status reconstructed =
       ReconstructPatterns(result_frame.artifact_path, &out.patterns);
   if (!reconstructed.ok()) {
-    out.patterns.clear();
+    out.patterns.Release();
     out.status = std::move(reconstructed);
     return out;
   }

@@ -255,12 +255,9 @@ int ShardWorkerMain(const std::vector<std::string>& args) {
   progress.value = result.patterns.size();
   (void)sender.Send(progress);
 
-  // Persist the contribution as a serving artifact: canonical order
-  // with the empty itemset first is both the artifact writer's
-  // requirement and what makes the coordinator's reconstruction an
-  // exact inverse.
+  // Persist the contribution as a serving artifact; Create puts it in
+  // the canonical order the artifact stores.
   const uint64_t num_patterns = result.patterns.size();
-  SortPatterns(&result.patterns);
   Result<PatternTable> table =
       PatternTable::Create(std::move(result.patterns), spec->data.catalog,
                            db->num_rows());

@@ -17,6 +17,7 @@ namespace divexp {
 namespace {
 
 using testing::ExploreForTest;
+using testing::PlantedTieTable;
 using testing::RandomTableForTest;
 
 // a0=v1 is strongly divergent; adding a1=v1 pulls the rate back to the
@@ -194,48 +195,6 @@ TEST(CorrectiveTest, MatchesPairwiseDefinition) {
   }
 }
 
-// Every itemset of up to `max_len` items over `attrs` attributes of
-// `domain` values, with tallies drawn from a palette of three values
-// each: many rows share a rate, so many corrective pairs share a factor
-// and the ranking leans on its tie-breaks. Rows are sorted canonically,
-// so the table also writes as an artifact.
-PatternTable PlantedTieTable(uint64_t seed, size_t attrs, int domain,
-                             size_t max_len) {
-  Rng rng(seed);
-  ItemCatalog catalog;
-  std::vector<std::string> values;
-  for (int v = 0; v < domain; ++v) values.push_back(std::to_string(v));
-  for (size_t a = 0; a < attrs; ++a) {
-    catalog.AddAttribute("a" + std::to_string(a), values);
-  }
-  std::vector<MinedPattern> mined = {{Itemset{}, OutcomeCounts{40, 60, 0}}};
-  std::vector<Itemset> frontier = {Itemset{}};
-  for (size_t len = 1; len <= max_len; ++len) {
-    std::vector<Itemset> next;
-    for (const Itemset& prefix : frontier) {
-      const size_t first_attr =
-          prefix.empty() ? 0 : catalog.item(prefix.back()).attribute + 1;
-      for (size_t a = first_attr; a < attrs; ++a) {
-        for (int v = 0; v < domain; ++v) {
-          Itemset items = prefix;
-          items.push_back(catalog.first_item(static_cast<uint32_t>(a)) +
-                          static_cast<uint32_t>(v));
-          mined.push_back({items, OutcomeCounts{1 + rng.Below(3),
-                                                1 + rng.Below(3),
-                                                rng.Below(2)}});
-          next.push_back(std::move(items));
-        }
-      }
-    }
-    frontier = std::move(next);
-  }
-  SortPatterns(&mined);
-  auto table = PatternTable::Create(std::move(mined), std::move(catalog),
-                                    /*num_rows=*/100);
-  DIVEXP_CHECK_OK(table.status());
-  return std::move(table).value();
-}
-
 TEST(CorrectiveTest, BoundedSelectionIsThePrefixOfTheFullRanking) {
   for (uint64_t seed : {41u, 42u, 43u}) {
     const PatternTable table =
@@ -273,30 +232,23 @@ TEST(CorrectiveTest, BoundedSelectionIsThePrefixOfTheFullRanking) {
   }
 }
 
-// On a guard-truncated table some subset links are kNoLink. The scan
-// must skip exactly those pairs and still rank the kept ones as the
+// On a truncated table some subset links are kNoLink. The scan must
+// skip exactly those pairs and still rank the kept ones as the
 // definition does over the rows that survived.
 TEST(CorrectiveTest, TruncatedTableMatchesDefinitionOverKeptRows) {
   for (uint64_t seed : {51u, 52u}) {
     const PatternTable complete =
         RandomTableForTest(seed, /*rows=*/200, /*attrs=*/4, /*domain=*/3);
-    // Longest first, the empty itemset last: a prefix drops subsets.
-    std::vector<MinedPattern> mined;
-    uint64_t budget = 4;  // below any one row's charge
-    for (size_t i = complete.size(); i-- > 0;) {
-      const ItemSpan items = complete.row_items(i);
-      mined.push_back({Itemset(items.begin(), items.end()),
-                       complete.counts(i)});
-      if (mined.size() > 1 && mined.size() <= complete.size() / 2) {
-        budget += PatternTable::RowBytes(items.size());
-      }
+    // The empty itemset and the longest rows, the shape a miner's
+    // emission-order truncation leaves: subsets go missing.
+    PatternBuffer mined;
+    mined.Append(complete.row_items(0), complete.counts(0));
+    for (size_t i = complete.size() - complete.size() / 2 + 1;
+         i < complete.size(); ++i) {
+      mined.Append(complete.row_items(i), complete.counts(i));
     }
-    RunLimits limits;
-    limits.max_memory_mb = 1;
-    RunGuard guard(limits);
-    ASSERT_TRUE(guard.AddMemory((uint64_t{1} << 20) - budget));
     auto table = PatternTable::Create(std::move(mined), complete.catalog(),
-                                      complete.num_dataset_rows(), &guard);
+                                      complete.num_dataset_rows());
     ASSERT_TRUE(table.ok()) << table.status().ToString();
     ASSERT_EQ(table->size(), complete.size() / 2);
     size_t dropped_links = 0;

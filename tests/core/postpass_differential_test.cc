@@ -401,30 +401,16 @@ std::vector<MinedPattern> SupersetFirstPatterns() {
   return mined;
 }
 
-// Pre-charges a 1 MiB guard so only `keep_bytes` of budget remain for
-// the pattern rows, making the truncation point deterministic.
-RunLimits OneMiBLimit() {
-  RunLimits limits;
-  limits.max_memory_mb = 1;
-  return limits;
-}
-
-void LeaveBudget(RunGuard& guard, uint64_t keep_bytes) {
-  DIVEXP_CHECK(guard.AddMemory((1ULL << 20) - keep_bytes));
-}
-
-uint64_t FootprintBytes(size_t items) {
-  return PatternTable::RowBytes(items);
-}
-
+// Create keeps a canonical prefix under its own guard, which is
+// downward closed; holes come from a miner's emission-order truncation,
+// whose output may hold a pattern without its subsets. These inputs
+// are that shape.
 TEST(TruncatedLatticeTest, AllLinksMissing) {
-  RunGuard guard(OneMiBLimit());
-  LeaveBudget(guard, FootprintBytes(2) + 4);
-  auto table = PatternTable::Create(SupersetFirstPatterns(),
-                                    MakeTwoAttrCatalog(), 10, &guard);
+  auto table = PatternTable::Create(
+      std::vector<MinedPattern>{{Itemset{}, OutcomeCounts{5, 5, 0}},
+                                {Itemset{0, 2}, OutcomeCounts{3, 1, 0}}},
+      MakeTwoAttrCatalog(), 10);
   ASSERT_TRUE(table.ok());
-  ASSERT_TRUE(guard.stopped());
-  EXPECT_EQ(guard.breach(), LimitBreach::kMemoryBudget);
   ASSERT_EQ(table->size(), 2u);  // root + {0, 2}
 
   const auto links = table->row_links(1);
@@ -443,20 +429,22 @@ TEST(TruncatedLatticeTest, AllLinksMissing) {
 }
 
 TEST(TruncatedLatticeTest, PartialLinksStayConsistent) {
-  // Room for {0,2} and {2}; {0} is dropped.
-  RunGuard guard(OneMiBLimit());
-  LeaveBudget(guard, FootprintBytes(2) + FootprintBytes(1) + 4);
-  auto table = PatternTable::Create(SupersetFirstPatterns(),
-                                    MakeTwoAttrCatalog(), 10, &guard);
+  // {0} is missing; canonical order puts {2} at row 1, {0,2} at row 2.
+  std::vector<MinedPattern> mined = SupersetFirstPatterns();
+  mined.pop_back();
+  auto table = PatternTable::Create(std::move(mined), MakeTwoAttrCatalog(),
+                                    10);
   ASSERT_TRUE(table.ok());
-  ASSERT_EQ(table->size(), 3u);  // root + {0, 2} + {2}
+  ASSERT_EQ(table->size(), 3u);  // root + {2} + {0, 2}
+  const size_t pair = table->Find(Itemset{0, 2}).value();
+  const size_t single = table->Find(Itemset{2}).value();
 
-  const auto links = table->row_links(1);
+  const auto links = table->row_links(pair);
   ASSERT_EQ(links.size(), 2u);
-  EXPECT_EQ(links[0], 2u);  // {0,2} \ {0} = {2}, present at row 2
-  EXPECT_EQ(links[1], PatternTable::kNoLink);  // {0} was dropped
+  EXPECT_EQ(links[0], single);  // {0,2} \ {0} = {2}
+  EXPECT_EQ(links[1], PatternTable::kNoLink);  // {0} is missing
   // {2}'s immediate subset is the root.
-  const auto single_links = table->row_links(2);
+  const auto single_links = table->row_links(single);
   ASSERT_EQ(single_links.size(), 1u);
   EXPECT_EQ(single_links[0], 0u);
 

@@ -273,8 +273,7 @@ TEST(FpGrowthTest, TreeBytesAreChargedAndMemoryLimitStopsCleanly) {
   // charges (MineControl::Emit) stay.
   uint64_t pattern_bytes = 0;
   for (size_t i = 1; i < unlimited->size(); ++i) {
-    pattern_bytes += sizeof(MinedPattern) +
-                     (*unlimited)[i].items.size() * sizeof(uint32_t);
+    pattern_bytes += PatternBuffer::RowBytes((*unlimited)[i].items.size());
   }
   EXPECT_EQ(unlimited_guard.memory_bytes(), pattern_bytes);
 

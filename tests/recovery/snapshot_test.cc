@@ -56,12 +56,14 @@ void ExpectStatesEqual(const MiningStateSnapshot& a,
   for (const auto& [unit, patterns] : a.units) {
     auto it = b.units.find(unit);
     ASSERT_NE(it, b.units.end()) << "unit " << unit;
-    ASSERT_EQ(patterns.size(), it->second.size());
-    for (size_t i = 0; i < patterns.size(); ++i) {
-      EXPECT_EQ(patterns[i].items, it->second[i].items);
-      EXPECT_EQ(patterns[i].counts.t, it->second[i].counts.t);
-      EXPECT_EQ(patterns[i].counts.f, it->second[i].counts.f);
-      EXPECT_EQ(patterns[i].counts.bot, it->second[i].counts.bot);
+    const std::vector<MinedPattern> want = patterns.ToPatterns();
+    const std::vector<MinedPattern> got = it->second.ToPatterns();
+    ASSERT_EQ(want.size(), got.size());
+    for (size_t i = 0; i < want.size(); ++i) {
+      EXPECT_EQ(want[i].items, got[i].items);
+      EXPECT_EQ(want[i].counts.t, got[i].counts.t);
+      EXPECT_EQ(want[i].counts.f, got[i].counts.f);
+      EXPECT_EQ(want[i].counts.bot, got[i].counts.bot);
     }
   }
 }
@@ -158,7 +160,7 @@ TEST(CheckpointerTest, FreshRunWritesAndResumeRestores) {
   const auto* unit0 = (*cp2)->RestoredUnit(0);
   ASSERT_NE(unit0, nullptr);
   ASSERT_EQ(unit0->size(), 1u);
-  EXPECT_EQ((*unit0)[0].items, Itemset{2});
+  EXPECT_EQ(unit0->ToPatterns()[0].items, Itemset{2});
   ASSERT_NE((*cp2)->RestoredUnit(1), nullptr);
   EXPECT_EQ((*cp2)->RestoredUnit(2), nullptr);  // never completed
 }

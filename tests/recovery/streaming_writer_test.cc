@@ -51,7 +51,7 @@ MiningStateSnapshot MakeLargeState() {
       pattern.counts = OutcomeCounts{p, p % 7, p % 3};
       patterns.push_back(std::move(pattern));
     }
-    state.units[unit] = std::move(patterns);
+    state.units[unit] = PatternBuffer(patterns);
   }
   return state;
 }
@@ -232,7 +232,7 @@ TEST(StreamingSnapshotTest, CheckpointerChargesWritesToTheGuard) {
   for (uint32_t p = 0; p < 20000; ++p) {
     patterns.push_back(MinedPattern{Itemset{p, p + 1}, OutcomeCounts{p, 1, 0}});
   }
-  (*cp)->UnitMined(0, patterns);
+  (*cp)->UnitMined(0, PatternBuffer(patterns));
   ASSERT_TRUE((*cp)->last_write_error().ok());
   EXPECT_GT((*cp)->checkpoint_bytes(), 4 * kSnapshotChunkBytes);
   EXPECT_GT(guard.peak_memory_bytes(), 0u);

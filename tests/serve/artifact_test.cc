@@ -18,6 +18,7 @@
 
 #include "core/table_fingerprint.h"
 #include "recovery/atomic_file.h"
+#include "recovery/crc32.h"
 #include "recovery/snapshot_file.h"
 #include "serve/server.h"
 #include "testing/table_bytes.h"
@@ -409,7 +410,7 @@ ItemCatalog MakeTwoAttrCatalog(const std::string& first_label = "v0") {
   return catalog;
 }
 
-/// A table whose rows keep the order of `mined` (Create does not sort).
+/// A table of `mined`'s rows, which Create puts in canonical order.
 PatternTable MakeHandTable(std::vector<MinedPattern> mined,
                            ItemCatalog catalog = MakeTwoAttrCatalog(),
                            size_t num_rows = 10) {
@@ -461,8 +462,8 @@ TEST(ArtifactTest, SerializedBytesReflectTalliesCatalogAndDatasetSize) {
 }
 
 TEST(ArtifactTest, NoLinkHolesRoundTrip) {
-  // {0} is absent (as after a guard truncation), so {0, 2} keeps a
-  // kNoLink hole where its subset {0} would be.
+  // {0} is absent (as after a miner's budget truncation), so {0, 2}
+  // keeps a kNoLink hole where its subset {0} would be.
   const PatternTable table =
       MakeHandTable({{Itemset{}, OutcomeCounts{5, 4, 1}},
                      {Itemset{2}, OutcomeCounts{4, 1, 1}},
@@ -483,30 +484,114 @@ TEST(ArtifactTest, NoLinkHolesRoundTrip) {
             TableBytes(table));
 }
 
-TEST(ArtifactTest, SerializeRejectsNonCanonicalRowOrder) {
+TEST(ArtifactTest, NonCanonicalInputIsWrittenCanonically) {
   std::vector<MinedPattern> swapped = CanonicalPatterns();
   std::swap(swapped[1], swapped[2]);  // {2} before {0}
   std::vector<MinedPattern> root_last = CanonicalPatterns();
   std::rotate(root_last.begin(), root_last.begin() + 1, root_last.end());
+  const std::string want = TableBytes(MakeHandTable(CanonicalPatterns()));
 
   const std::string dir = ScratchDir("artifact/noncanonical");
   for (const auto& mined : {swapped, root_last}) {
+    // Create puts the rows in canonical order, so the artifact is the
+    // canonical table's, byte for byte.
     const PatternTable table = MakeHandTable(mined);
-    auto bytes = SerializePatternTableArtifact(table);
-    ASSERT_FALSE(bytes.ok());
-    EXPECT_EQ(bytes.status().code(), StatusCode::kInvalidArgument);
-    EXPECT_NE(bytes.status().message().find("canonical order"),
-              std::string::npos)
-        << bytes.status().ToString();
-
-    // The writer refuses the same table before touching the file.
+    EXPECT_TRUE(table.row_items(0).empty());
+    EXPECT_EQ(TableBytes(table), want);
     const std::string path = dir + "/table.dvt";
-    std::remove(path.c_str());
-    uint64_t written = 7;
-    EXPECT_EQ(WritePatternTableArtifact(path, table, &written).code(),
-              StatusCode::kInvalidArgument);
-    EXPECT_EQ(written, 7u);
-    EXPECT_FALSE(recovery::ReadFileToString(path).ok());
+    ASSERT_TRUE(WritePatternTableArtifact(path, table).ok());
+    auto read = recovery::ReadFileToString(path);
+    ASSERT_TRUE(read.ok());
+    EXPECT_EQ(*read, want);
+  }
+  // Only a default-constructed table, which has no rows, is refused.
+  EXPECT_EQ(SerializePatternTableArtifact(PatternTable()).status().code(),
+            StatusCode::kInvalidArgument);
+}
+
+// The fingerprint hashes the items, item_offsets, tallies and stats
+// columns word by word: flipping any one byte of them changes it, while
+// the subset links (derived state) do not enter it.
+TEST(ArtifactTest, FingerprintCoversEveryHashedByteButNotLinks) {
+  for (const PatternTable& table :
+       {MakeHandTable(CanonicalPatterns()), RandomTableForTest(5, 60)}) {
+    const TableColumns columns = table.columns();
+    const auto fingerprint = [&](const TableColumns& c) {
+      return divexp::TableFingerprint(
+          c, table.catalog(), table.num_dataset_rows(), table.global_rate(),
+          table.global_mean(), table.global_variance());
+    };
+    const uint64_t base = fingerprint(columns);
+    EXPECT_EQ(base, TableFingerprint(table));
+
+    // Flips byte b of a copy of `column` and hashes the columns with
+    // the copy in its place.
+    const auto flipped = [&](auto column, auto place, size_t b) {
+      using T = typename decltype(column)::value_type;
+      std::vector<T> copy(column.begin(), column.end());
+      reinterpret_cast<unsigned char*>(copy.data())[b] ^= 0x01;
+      TableColumns c = columns;
+      place(&c, std::span<const T>(copy));
+      return fingerprint(c);
+    };
+    const auto every_byte = [&](auto column, auto place, const char* name) {
+      // Every byte of a small table's column; an even spread of a larger
+      // one's.
+      const size_t bytes = column.size_bytes();
+      const size_t step = bytes <= 512 ? 1 : bytes / 97 + 1;
+      for (size_t b = 0; b < bytes; b += step) {
+        EXPECT_NE(flipped(column, place, b), base) << name << " byte " << b;
+      }
+      EXPECT_NE(flipped(column, place, bytes - 1), base) << name << " last";
+    };
+    every_byte(columns.items,
+               [](TableColumns* c, std::span<const uint32_t> s) {
+                 c->items = s;
+               },
+               "items");
+    every_byte(columns.item_offsets,
+               [](TableColumns* c, std::span<const uint64_t> s) {
+                 c->item_offsets = s;
+               },
+               "item_offsets");
+    every_byte(columns.tallies,
+               [](TableColumns* c, std::span<const uint64_t> s) {
+                 c->tallies = s;
+               },
+               "tallies");
+    every_byte(columns.stats,
+               [](TableColumns* c, std::span<const double> s) {
+                 c->stats = s;
+               },
+               "stats");
+
+    std::vector<uint32_t> links(columns.subset_links.begin(),
+                                columns.subset_links.end());
+    ASSERT_FALSE(links.empty());
+    links[links.size() / 2] = PatternTable::kNoLink;
+    TableColumns unlinked = columns;
+    unlinked.subset_links = links;
+    EXPECT_EQ(fingerprint(unlinked), base);
+  }
+}
+
+// Version 1 artifacts carry the byte-wise FNV-1a fingerprint; this build
+// rejects them by version rather than by a fingerprint mismatch.
+TEST(ArtifactTest, VersionOneHeaderIsRejected) {
+  std::string bytes = TableBytes(RandomTableForTest(6, 60));
+  const uint32_t v1 = 1;
+  std::memcpy(bytes.data() + 8, &v1, sizeof(v1));
+  const uint32_t crc = recovery::Crc32(bytes.data(), 80);
+  std::memcpy(bytes.data() + 80, &crc, sizeof(crc));
+  for (const ArtifactValidation tier :
+       {ArtifactValidation::kHeader, ArtifactValidation::kFull}) {
+    auto artifact = PatternTableArtifact::FromBuffer(bytes, tier);
+    ASSERT_FALSE(artifact.ok());
+    EXPECT_EQ(artifact.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(artifact.status().message().find(
+                  "artifact version 1 is not supported"),
+              std::string::npos)
+        << artifact.status().ToString();
   }
 }
 

@@ -3,8 +3,8 @@
 // PatternTable must equal the same accessor of the TableView over the
 // artifact written from it, row by row and bit for bit. PatternTable's
 // hash index must find every row — by itemset and by immediate-subset
-// view — and miss itemsets that are not rows, whatever the row order,
-// and link only the rows a guard truncation kept.
+// view — and miss itemsets that are not rows. Create must put any
+// input order into canonical order, also when a guard truncates it.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -22,6 +22,7 @@ namespace divexp {
 namespace serve {
 namespace {
 
+using divexp::testing::PlantedTieTable;
 using divexp::testing::RandomTableForTest;
 using divexp::testing::TableBytes;
 
@@ -147,83 +148,154 @@ TEST(ReadSurfaceTest, TableViewEqualsPatternTableRowByRow) {
   }
 }
 
-TEST(ReadSurfaceTest, FindWorksOnSupersetFirstRowOrder) {
+// Create puts any input order into canonical order: a superset-first,
+// half-shuffled input and a fully shuffled one give the canonical
+// table's bytes, and the hash index finds every row.
+TEST(ReadSurfaceTest, CreateCanonicalizesAnyRowOrder) {
   for (uint64_t seed : {90u, 91u, 92u}) {
     SCOPED_TRACE("seed " + std::to_string(seed));
     const PatternTable canonical =
         RandomTableForTest(seed, /*rows=*/200, /*attrs=*/4, /*domain=*/3);
-    auto table = PatternTable::Create(SupersetFirst(canonical, seed),
-                                      canonical.catalog(),
-                                      canonical.num_dataset_rows());
-    ASSERT_TRUE(table.ok()) << table.status().ToString();
-    ASSERT_EQ(table->size(), canonical.size());
-    ASSERT_FALSE(table->row_items(0).empty());
-    ExpectFindHitsRowsAndMissesOthers(*table, seed);
-    for (size_t i = 0; i < table->size(); ++i) {
-      const auto at = canonical.Find(table->row_items(i));
-      ASSERT_TRUE(at.has_value());
-      EXPECT_EQ(table->divergence(i), canonical.divergence(*at));
-      EXPECT_EQ(table->t(i), canonical.t(*at));
+    std::vector<MinedPattern> shuffled = SupersetFirst(canonical, seed);
+    Rng rng(seed + 7);
+    for (size_t k = shuffled.size(); k > 1; --k) {
+      std::swap(shuffled[k - 1], shuffled[rng.Below(k)]);
     }
-    // The artifact's binary search needs canonical order.
-    EXPECT_FALSE(SerializePatternTableArtifact(*table).ok());
+    for (std::vector<MinedPattern> input :
+         {SupersetFirst(canonical, seed), shuffled}) {
+      auto table = PatternTable::Create(std::move(input),
+                                        canonical.catalog(),
+                                        canonical.num_dataset_rows());
+      ASSERT_TRUE(table.ok()) << table.status().ToString();
+      EXPECT_EQ(TableBytes(*table), TableBytes(canonical));
+      ExpectFindHitsRowsAndMissesOthers(*table, seed);
+    }
   }
 }
 
-// A guard that trips mid-post-pass keeps the input-order prefix whose
-// PatternTable::RowBytes charges fit its budget (row 0 free). Links of
-// the kept rows point at kept subsets or are kNoLink where the subset
-// was dropped, and Find misses every dropped row.
-TEST(ReadSurfaceTest, GuardTruncationLinksOnlyTheKeptRows) {
+// A guard that trips mid-post-pass keeps the canonical prefix whose
+// PatternTable::RowBytes charges fit its budget (row 0 free), whatever
+// the input order: a superset-first input and the canonical one give
+// the same bytes. The prefix of a complete table is downward closed,
+// so every link of a kept row resolves, and Find misses every dropped
+// row.
+TEST(ReadSurfaceTest, GuardTruncationKeepsTheCanonicalPrefix) {
   for (uint64_t seed : {93u, 94u, 95u}) {
     SCOPED_TRACE("seed " + std::to_string(seed));
     const PatternTable canonical =
         RandomTableForTest(seed, /*rows=*/200, /*attrs=*/4, /*domain=*/3);
-    std::vector<MinedPattern> mined = SupersetFirst(canonical, seed);
-    const size_t keep = mined.size() / 2;
+    const size_t keep = canonical.size() / 2;
     uint64_t budget = 4;  // below any one row's charge
     for (size_t i = 1; i < keep; ++i) {
-      budget += PatternTable::RowBytes(mined[i].items.size());
+      budget += PatternTable::RowBytes(canonical.row_items(i).size());
     }
-    RunLimits limits;
-    limits.max_memory_mb = 1;
-    RunGuard guard(limits);
-    ASSERT_TRUE(guard.AddMemory((uint64_t{1} << 20) - budget));
-    const std::vector<MinedPattern> input = mined;
-    auto table = PatternTable::Create(std::move(mined), canonical.catalog(),
-                                      canonical.num_dataset_rows(), &guard);
-    ASSERT_TRUE(table.ok()) << table.status().ToString();
-    EXPECT_EQ(guard.breach(), LimitBreach::kMemoryBudget);
-    ASSERT_EQ(table->size(), keep);
+    std::vector<MinedPattern> in_order;
+    for (size_t i = 0; i < canonical.size(); ++i) {
+      const ItemSpan items = canonical.row_items(i);
+      in_order.push_back({Itemset(items.begin(), items.end()),
+                          canonical.counts(i)});
+    }
+    std::vector<std::string> bytes;
+    for (std::vector<MinedPattern> input :
+         {SupersetFirst(canonical, seed), in_order}) {
+      RunLimits limits;
+      limits.max_memory_mb = 1;
+      RunGuard guard(limits);
+      ASSERT_TRUE(guard.AddMemory((uint64_t{1} << 20) - budget));
+      auto table = PatternTable::Create(std::move(input), canonical.catalog(),
+                                        canonical.num_dataset_rows(), &guard);
+      ASSERT_TRUE(table.ok()) << table.status().ToString();
+      EXPECT_EQ(guard.breach(), LimitBreach::kMemoryBudget);
+      ASSERT_EQ(table->size(), keep);
+      bytes.push_back(TableBytes(*table));
 
-    size_t linked = 0;
-    size_t unlinked = 0;
-    for (size_t i = 0; i < keep; ++i) {
-      const ItemSpan items = table->row_items(i);
-      ASSERT_EQ(Itemset(items.begin(), items.end()), input[i].items);
-      EXPECT_EQ(table->Find(items), i);
-      const auto at = canonical.Find(items);
-      ASSERT_TRUE(at.has_value());
-      // The global rate comes from the dropped empty itemset's tallies.
-      EXPECT_EQ(table->divergence(i), canonical.divergence(*at));
-      const auto links = table->row_links(i);
-      for (size_t j = 0; j < items.size(); ++j) {
-        const auto found = table->Find(ItemsetSkipView{items, j});
-        if (found.has_value()) {
-          EXPECT_EQ(links[j], *found) << "row " << i << " skip " << j;
-          ++linked;
-        } else {
-          EXPECT_EQ(links[j], PatternTable::kNoLink)
+      for (size_t i = 0; i < keep; ++i) {
+        const ItemSpan items = table->row_items(i);
+        ASSERT_EQ(ToVector(items), ToVector(canonical.row_items(i)));
+        EXPECT_EQ(table->divergence(i), canonical.divergence(i));
+        const auto links = table->row_links(i);
+        for (size_t j = 0; j < items.size(); ++j) {
+          EXPECT_EQ(links[j], canonical.row_links(i)[j])
               << "row " << i << " skip " << j;
-          ++unlinked;
+          EXPECT_LT(links[j], keep);
         }
       }
+      for (size_t i = keep; i < canonical.size(); ++i) {
+        EXPECT_FALSE(table->Find(canonical.row_items(i)).has_value())
+            << "row " << i;
+      }
     }
-    EXPECT_GT(linked, 0u);
-    EXPECT_GT(unlinked, 0u);
-    for (size_t i = keep; i < input.size(); ++i) {
-      EXPECT_FALSE(table->Find(ItemSpan(input[i].items)).has_value())
-          << ItemsetDebugString(input[i].items);
+    EXPECT_EQ(bytes[0], bytes[1]);
+  }
+}
+
+// TopKRows breaks ties by row index; on a canonical table that is the
+// documented item order. From the definition: every row stably sorted
+// by the key in the requested direction, then higher support, then
+// shorter itemset, then lexicographic items; the empty itemset and
+// filtered rows dropped; the first k kept. Tables whose tallies come
+// from a three-value palette tie on most keys and supports. Checked for
+// small k (partial selection) and full rankings, in memory and served.
+TEST(ReadSurfaceTest, TopKMatchesItemTieBreakDefinitionOnTieHeavyTables) {
+  using RankKey = PatternTable::RankKey;
+  for (uint64_t seed : {61u, 62u}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    const PatternTable table =
+        PlantedTieTable(seed, /*attrs=*/5, /*domain=*/3, /*max_len=*/3);
+    auto artifact = PatternTableArtifact::FromBuffer(
+        TableBytes(table), ArtifactValidation::kFull);
+    ASSERT_TRUE(artifact.ok()) << artifact.status().ToString();
+    const TableView& view = (*artifact)->view();
+    for (const RankKey key :
+         {RankKey::kDivergence, RankKey::kSignificance, RankKey::kSupport}) {
+      const auto key_of = [&](size_t i) {
+        return key == RankKey::kDivergence     ? table.divergence(i)
+               : key == RankKey::kSignificance ? table.t(i)
+                                               : table.support(i);
+      };
+      for (const bool descending : {true, false}) {
+        std::vector<size_t> all;
+        for (size_t i = 0; i < table.size(); ++i) {
+          if (!table.row_items(i).empty()) all.push_back(i);
+        }
+        size_t ties = 0;
+        std::stable_sort(all.begin(), all.end(), [&](size_t a, size_t b) {
+          if (key_of(a) != key_of(b)) {
+            return descending ? key_of(a) > key_of(b)
+                              : key_of(a) < key_of(b);
+          }
+          if (table.support(a) != table.support(b)) {
+            return table.support(a) > table.support(b);
+          }
+          ++ties;
+          const ItemSpan ia = table.row_items(a);
+          const ItemSpan ib = table.row_items(b);
+          if (ia.size() != ib.size()) return ia.size() < ib.size();
+          return std::lexicographical_compare(ia.begin(), ia.end(),
+                                              ib.begin(), ib.end());
+        });
+        EXPECT_GT(ties, all.size()) << "the table must be tie-heavy";
+        for (const size_t k : {size_t{1}, size_t{7}, size_t{60},
+                               all.size() - 1, all.size(),
+                               all.size() + 5}) {
+          TopKQuery query;
+          query.k = k;
+          query.key = key;
+          query.descending = descending;
+          const std::vector<size_t> want(
+              all.begin(), all.begin() + std::min(k, all.size()));
+          auto in_memory = TopKRows(table, query);
+          auto served = TopKRows(view, query);
+          ASSERT_TRUE(in_memory.ok());
+          ASSERT_TRUE(served.ok());
+          EXPECT_EQ(*in_memory, want)
+              << "key " << static_cast<int>(key) << " desc " << descending
+              << " k " << k;
+          EXPECT_EQ(*served, want)
+              << "key " << static_cast<int>(key) << " desc " << descending
+              << " k " << k;
+        }
+      }
     }
   }
 }

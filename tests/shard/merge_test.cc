@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -53,12 +55,12 @@ MinedPattern Candidate(std::vector<uint32_t> items, uint64_t t = 0,
   return p;
 }
 
-const MinedPattern* Find(const ShardMergeResult& result,
-                         const Itemset& items) {
-  for (const MinedPattern& p : result.patterns) {
-    if (p.items == items) return &p;
+std::optional<MinedPattern> Find(const ShardMergeResult& result,
+                                 const Itemset& items) {
+  for (const MinedPattern& p : result.patterns.ToPatterns()) {
+    if (p.items == items) return p;
   }
-  return nullptr;
+  return std::nullopt;
 }
 
 TEST(ShardPlanTest, BalancedContiguousSplit) {
@@ -103,10 +105,10 @@ TEST(ShardMergeTest, EmptyShardTableContributesNothing) {
                                         contributions, LowSupport());
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   ASSERT_EQ(result->patterns.size(), 1u);  // just the empty itemset
-  EXPECT_TRUE(result->patterns[0].items.empty());
-  EXPECT_EQ(result->patterns[0].counts.t, 3u);
-  EXPECT_EQ(result->patterns[0].counts.f, 2u);
-  EXPECT_EQ(result->patterns[0].counts.bot, 1u);
+  EXPECT_TRUE(result->patterns.row_items(0).empty());
+  EXPECT_EQ(result->patterns.counts(0).t, 3u);
+  EXPECT_EQ(result->patterns.counts(0).f, 2u);
+  EXPECT_EQ(result->patterns.counts(0).bot, 1u);
   EXPECT_EQ(result->covered_rows, 6u);
   EXPECT_EQ(result->candidates, 0u);
 }
@@ -125,14 +127,14 @@ TEST(ShardMergeTest, SingleRowShardRecountsExactly) {
   // {1} = a0=v1 matches rows 3 (B) and 5 (F) across the whole dataset;
   // the recount is global even though the candidate came from a
   // one-row shard.
-  const MinedPattern* p = Find(*result, {1});
-  ASSERT_NE(p, nullptr);
+  const std::optional<MinedPattern> p = Find(*result, {1});
+  ASSERT_TRUE(p.has_value());
   EXPECT_EQ(p->counts.t, 0u);
   EXPECT_EQ(p->counts.f, 1u);
   EXPECT_EQ(p->counts.bot, 1u);
   // {1,3} needs both {1} and {3} kept; {3} was never a candidate, so
   // the closure pass drops the pair.
-  EXPECT_EQ(Find(*result, {1, 3}), nullptr);
+  EXPECT_FALSE(Find(*result, {1, 3}).has_value());
 }
 
 TEST(ShardMergeTest, DuplicatePatternWithDifferingTalliesIsRecounted) {
@@ -151,8 +153,8 @@ TEST(ShardMergeTest, DuplicatePatternWithDifferingTalliesIsRecounted) {
                                         contributions, LowSupport());
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_EQ(result->candidates, 1u);  // duplicates collapse
-  const MinedPattern* p = Find(*result, {0});
-  ASSERT_NE(p, nullptr);
+  const std::optional<MinedPattern> p = Find(*result, {0});
+  ASSERT_TRUE(p.has_value());
   EXPECT_EQ(p->counts.t, 3u);
   EXPECT_EQ(p->counts.f, 1u);
   EXPECT_EQ(p->counts.bot, 0u);
@@ -198,12 +200,12 @@ TEST(ShardMergeTest, ExcludedShardRowsDoNotEnterTheTallies) {
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_EQ(result->covered_rows, 3u);
   // Totals over rows 0..2 only: T, F, T.
-  EXPECT_EQ(result->patterns[0].counts.t, 2u);
-  EXPECT_EQ(result->patterns[0].counts.f, 1u);
-  EXPECT_EQ(result->patterns[0].counts.bot, 0u);
+  EXPECT_EQ(result->patterns.counts(0).t, 2u);
+  EXPECT_EQ(result->patterns.counts(0).f, 1u);
+  EXPECT_EQ(result->patterns.counts(0).bot, 0u);
   // {0} matches rows 0,1,2 within the covered range.
-  const MinedPattern* p = Find(*result, {0});
-  ASSERT_NE(p, nullptr);
+  const std::optional<MinedPattern> p = Find(*result, {0});
+  ASSERT_TRUE(p.has_value());
   EXPECT_EQ(p->counts.total(), 3u);
 }
 
@@ -219,16 +221,16 @@ TEST(ShardMergeTest, ClosureDropsCandidatesWithMissingSubsets) {
       MergeShardContributions(f.dataset, f.outcomes, plan, {11}, {true},
                               contributions, LowSupport());
   ASSERT_TRUE(result.ok()) << result.status().ToString();
-  EXPECT_NE(Find(*result, {0}), nullptr);
-  EXPECT_EQ(Find(*result, {0, 2}), nullptr);
+  EXPECT_TRUE(Find(*result, {0}).has_value());
+  EXPECT_FALSE(Find(*result, {0, 2}).has_value());
   // With the subset present the pair survives.
-  contributions[0].patterns.push_back(Candidate({2}));
+  contributions[0].patterns.Append(Itemset{2}, {});
   result =
       MergeShardContributions(f.dataset, f.outcomes, plan, {11}, {true},
                               contributions, LowSupport());
   ASSERT_TRUE(result.ok());
-  const MinedPattern* pair = Find(*result, {0, 2});
-  ASSERT_NE(pair, nullptr);
+  const std::optional<MinedPattern> pair = Find(*result, {0, 2});
+  ASSERT_TRUE(pair.has_value());
   EXPECT_EQ(pair->counts.t, 2u);   // rows 0, 4
   EXPECT_EQ(pair->counts.f, 1u);   // row 1
   EXPECT_EQ(pair->counts.bot, 0u);
@@ -247,7 +249,7 @@ TEST(ShardMergeTest, MaxLengthFiltersLongCandidates) {
                                         options);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->candidates, 2u);
-  EXPECT_EQ(Find(*result, {0, 2}), nullptr);
+  EXPECT_FALSE(Find(*result, {0, 2}).has_value());
 }
 
 TEST(ShardMergeTest, BelowThresholdCandidatesAreFilteredOut) {
@@ -263,8 +265,8 @@ TEST(ShardMergeTest, BelowThresholdCandidatesAreFilteredOut) {
                                         {11}, {true}, contributions,
                                         options);
   ASSERT_TRUE(result.ok());
-  EXPECT_NE(Find(*result, {0}), nullptr);  // 4 matches >= 3
-  EXPECT_EQ(Find(*result, {1}), nullptr);  // 2 matches < 3
+  EXPECT_TRUE(Find(*result, {0}).has_value());  // 4 matches >= 3
+  EXPECT_FALSE(Find(*result, {1}).has_value());  // 2 matches < 3
 }
 
 TEST(ShardMergeTest, RejectsDisagreeingPlanVectors) {
@@ -294,7 +296,7 @@ TEST(ShardMergeTest, InfrequentItemCandidateIsSkippedWithoutChange) {
   ASSERT_TRUE(expected.ok()) << expected.status().ToString();
 
   std::vector<ShardContribution> with_infrequent = base;
-  with_infrequent[0].patterns.push_back(Candidate({0, 1}));
+  with_infrequent[0].patterns.Append(Itemset{0, 1}, {});
   obs::Counter* skips = obs::MetricsRegistry::Default().GetCounter(
       "fpm.kernel.ubound.skips");
   const uint64_t skips0 = skips->Value();
@@ -305,14 +307,7 @@ TEST(ShardMergeTest, InfrequentItemCandidateIsSkippedWithoutChange) {
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_EQ(skips->Value() - skips0, 1u);
   EXPECT_EQ(result->candidates, 4u);
-  ASSERT_EQ(result->patterns.size(), expected->patterns.size());
-  for (size_t i = 0; i < result->patterns.size(); ++i) {
-    EXPECT_EQ(result->patterns[i].items, expected->patterns[i].items);
-    EXPECT_EQ(result->patterns[i].counts.t, expected->patterns[i].counts.t);
-    EXPECT_EQ(result->patterns[i].counts.f, expected->patterns[i].counts.f);
-    EXPECT_EQ(result->patterns[i].counts.bot,
-              expected->patterns[i].counts.bot);
-  }
+  EXPECT_EQ(result->patterns, expected->patterns);
   // The verify stage reports the recount's bitmap bytes: one word per
   // frequent item ({0}, {2}), the T and F masks, one scratch word.
   ASSERT_EQ(stages.stages().size(), 1u);
@@ -381,7 +376,7 @@ std::vector<MinedPattern> OracleMerge(
     const ShardMergeOptions& options) {
   std::set<Itemset> union_set;
   for (const ShardContribution& contribution : contributions) {
-    for (const MinedPattern& p : contribution.patterns) {
+    for (const MinedPattern& p : contribution.patterns.ToPatterns()) {
       if (p.items.empty()) continue;
       if (options.max_length != 0 && p.items.size() > options.max_length) {
         continue;
@@ -429,7 +424,14 @@ std::vector<MinedPattern> OracleMerge(
       frequent.push_back(MinedPattern{items, tally});
     }
   }
-  SortPatterns(&frequent);
+  // Canonical order, shortest first, so closure sees subsets first.
+  std::stable_sort(frequent.begin(), frequent.end(),
+                   [](const MinedPattern& a, const MinedPattern& b) {
+                     if (a.items.size() != b.items.size()) {
+                       return a.items.size() < b.items.size();
+                     }
+                     return a.items < b.items;
+                   });
   std::set<Itemset> kept;
   std::vector<MinedPattern> out = {MinedPattern{Itemset{}, count({})}};
   for (MinedPattern& p : frequent) {
@@ -482,8 +484,8 @@ TEST(ShardMergeDifferentialTest, BitmapRecountMatchesRowScanOracle) {
         ShardContribution contribution{i, fingerprints[i], {}};
         const size_t n = rng.Below(25);
         for (size_t k = 0; k < n; ++k) {
-          contribution.patterns.push_back(
-              MinedPattern{RandomCandidate(rng, c, plan[i]), {}});
+          contribution.patterns.Append(RandomCandidate(rng, c, plan[i]),
+                                       {});
         }
         contributions.push_back(std::move(contribution));
       }
@@ -504,12 +506,13 @@ TEST(ShardMergeDifferentialTest, BitmapRecountMatchesRowScanOracle) {
                                            fingerprints, include_rows,
                                            contributions, options);
         ASSERT_TRUE(got.ok()) << got.status().ToString();
-        ASSERT_EQ(got->patterns.size(), want.size());
+        const std::vector<MinedPattern> got_rows = got->patterns.ToPatterns();
+        ASSERT_EQ(got_rows.size(), want.size());
         for (size_t i = 0; i < want.size(); ++i) {
-          ASSERT_EQ(got->patterns[i].items, want[i].items) << "i=" << i;
-          ASSERT_EQ(got->patterns[i].counts.t, want[i].counts.t);
-          ASSERT_EQ(got->patterns[i].counts.f, want[i].counts.f);
-          ASSERT_EQ(got->patterns[i].counts.bot, want[i].counts.bot);
+          ASSERT_EQ(got_rows[i].items, want[i].items) << "i=" << i;
+          ASSERT_EQ(got_rows[i].counts.t, want[i].counts.t);
+          ASSERT_EQ(got_rows[i].counts.f, want[i].counts.f);
+          ASSERT_EQ(got_rows[i].counts.bot, want[i].counts.bot);
         }
       }
       for (const MinedPattern& p : want) {

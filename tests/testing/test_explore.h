@@ -2,6 +2,9 @@
 #ifndef DIVEXP_TESTS_TESTING_TEST_EXPLORE_H_
 #define DIVEXP_TESTS_TESTING_TEST_EXPLORE_H_
 
+#include <string>
+#include <vector>
+
 #include "core/explorer.h"
 #include "testing/test_data.h"
 #include "util/random.h"
@@ -61,6 +64,47 @@ inline PatternTable LongItemsetTable(size_t length) {
   auto table = PatternTable::Create(std::move(mined), std::move(catalog),
                                     /*num_rows=*/10);
   DIVEXP_CHECK(table.ok());
+  return std::move(table).value();
+}
+
+// Every itemset of up to `max_len` items over `attrs` attributes of
+// `domain` values, with tallies drawn from a palette of three values
+// each: many rows share a rate, so many corrective pairs share a factor
+// and the ranking leans on its tie-breaks; the same holds for top-k
+// keys and supports.
+inline PatternTable PlantedTieTable(uint64_t seed, size_t attrs,
+                                    int domain, size_t max_len) {
+  Rng rng(seed);
+  ItemCatalog catalog;
+  std::vector<std::string> values;
+  for (int v = 0; v < domain; ++v) values.push_back(std::to_string(v));
+  for (size_t a = 0; a < attrs; ++a) {
+    catalog.AddAttribute("a" + std::to_string(a), values);
+  }
+  std::vector<MinedPattern> mined = {{Itemset{}, OutcomeCounts{40, 60, 0}}};
+  std::vector<Itemset> frontier = {Itemset{}};
+  for (size_t len = 1; len <= max_len; ++len) {
+    std::vector<Itemset> next;
+    for (const Itemset& prefix : frontier) {
+      const size_t first_attr =
+          prefix.empty() ? 0 : catalog.item(prefix.back()).attribute + 1;
+      for (size_t a = first_attr; a < attrs; ++a) {
+        for (int v = 0; v < domain; ++v) {
+          Itemset items = prefix;
+          items.push_back(catalog.first_item(static_cast<uint32_t>(a)) +
+                          static_cast<uint32_t>(v));
+          mined.push_back({items, OutcomeCounts{1 + rng.Below(3),
+                                                1 + rng.Below(3),
+                                                rng.Below(2)}});
+          next.push_back(std::move(items));
+        }
+      }
+    }
+    frontier = std::move(next);
+  }
+  auto table = PatternTable::Create(std::move(mined), std::move(catalog),
+                                    /*num_rows=*/100);
+  DIVEXP_CHECK_OK(table.status());
   return std::move(table).value();
 }
 
