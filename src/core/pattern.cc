@@ -85,7 +85,6 @@ Result<PatternTable> PatternTable::Create(PatternBuffer mined,
   table.items_.resize(total_items);
   table.offsets_.resize(n + 1);
   table.tallies_.resize(kTalliesPerRow * n);
-  const std::span<const uint64_t> tallies = mined.tallies();
   uint64_t at = 0;
   table.offsets_[0] = 0;
   for (size_t i = 0; i < n; ++i) {
@@ -93,8 +92,11 @@ Result<PatternTable> PatternTable::Create(PatternBuffer mined,
     std::copy(items.begin(), items.end(), table.items_.begin() + at);
     at += items.size();
     table.offsets_[i + 1] = at;
-    std::copy_n(tallies.begin() + kTalliesPerRow * order[i], kTalliesPerRow,
-                table.tallies_.begin() + kTalliesPerRow * i);
+    const OutcomeCounts counts = mined.counts(order[i]);
+    uint64_t* tallies = table.tallies_.data() + kTalliesPerRow * i;
+    tallies[0] = counts.t;
+    tallies[1] = counts.f;
+    tallies[2] = counts.bot;
   }
   mined.Release();
   order_timer.AddItems(n);

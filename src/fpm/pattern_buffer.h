@@ -73,10 +73,6 @@ class PatternBuffer {
     return OutcomeCounts{t[0], t[1], t[2]};
   }
 
-  std::span<const uint32_t> items() const { return items_; }
-  std::span<const uint64_t> offsets() const { return offsets_; }
-  std::span<const uint64_t> tallies() const { return tallies_; }
-
   void Reserve(size_t rows, size_t items) {
     items_.reserve(items);
     offsets_.reserve(rows + 1);

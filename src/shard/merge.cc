@@ -83,18 +83,12 @@ Result<ShardMergeResult> MergeShardContributions(
   // Canonical verification order: the recount itself is
   // order-independent, but the closure check below needs every subset
   // before its supersets, and a fixed order keeps timing reproducible.
-  std::vector<Itemset> candidates;
-  {
-    std::vector<Itemset> unordered(candidate_set.begin(),
-                                   candidate_set.end());
-    candidate_set.clear();
-    const std::vector<uint32_t> order = CanonicalOrder(
-        unordered.size(), [&](size_t i) { return ItemSpan(unordered[i]); });
-    candidates.reserve(order.size());
-    for (const uint32_t i : order) {
-      candidates.push_back(std::move(unordered[i]));
-    }
-  }
+  std::vector<Itemset> candidates(candidate_set.begin(),
+                                  candidate_set.end());
+  std::sort(candidates.begin(), candidates.end(),
+            [](const Itemset& a, const Itemset& b) {
+              return CanonicalLess(a, b);
+            });
 
   ShardMergeResult result;
   result.candidates = candidates.size();
