@@ -154,9 +154,16 @@ class MineControl {
       : guard_(guard),
         budget_(guard != nullptr ? guard->limits().max_patterns : 0) {}
 
-  /// Call before emitting one non-empty pattern of `num_items` items.
-  /// Returns false when this shard must stop mining.
+  /// Call before emitting one non-empty pattern of `num_items` items
+  /// into a PatternBuffer. Returns false when this shard must stop
+  /// mining.
   bool Emit(size_t num_items) {
+    return EmitBytes(PatternBuffer::RowBytes(num_items));
+  }
+
+  /// Call before emitting one output that holds `bytes`, for callers
+  /// whose outputs are not PatternBuffer rows.
+  bool EmitBytes(uint64_t bytes) {
     if (stop_) return false;
     if (guard_ == nullptr) {
       ++emitted_;
@@ -167,8 +174,7 @@ class MineControl {
       stop_ = true;
       return false;
     }
-    if (!guard_->Tick() ||
-        !guard_->AddMemory(PatternBuffer::RowBytes(num_items))) {
+    if (!guard_->Tick() || !guard_->AddMemory(bytes)) {
       stop_ = true;
       return false;
     }

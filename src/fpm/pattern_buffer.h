@@ -22,7 +22,6 @@
 #include <bit>
 #include <cstddef>
 #include <cstdint>
-#include <initializer_list>
 #include <span>
 #include <vector>
 
@@ -45,10 +44,6 @@ struct MinedPattern {
 class PatternBuffer {
  public:
   PatternBuffer() = default;
-  /// The rows of `patterns`, in order.
-  PatternBuffer(std::initializer_list<MinedPattern> patterns) {
-    for (const MinedPattern& p : patterns) Append(p.items, p.counts);
-  }
   explicit PatternBuffer(const std::vector<MinedPattern>& patterns) {
     Reserve(patterns.size(), 0);
     for (const MinedPattern& p : patterns) Append(p.items, p.counts);
@@ -126,13 +121,6 @@ class PatternBuffer {
     return out;
   }
 
-  /// Equal rows in equal order.
-  friend bool operator==(const PatternBuffer& a, const PatternBuffer& b) {
-    return a.size() == b.size() && a.items_ == b.items_ &&
-           a.tallies_ == b.tallies_ &&
-           (a.empty() || a.offsets_ == b.offsets_);
-  }
-
  private:
   std::vector<uint32_t> items_;
   /// Empty until the first row, then size() + 1 entries from 0.
@@ -157,11 +145,11 @@ inline bool CanonicalLess(ItemSpan a, ItemSpan b) {
 /// of L items is LSD-radix-sorted by position L-1 down to 0, one stable
 /// counting pass per position with the item id as the digit, skipping
 /// a pass whose digit is constant over the group. Each pass costs
-/// O(group + largest id). When a group's L item ids fit one 64-bit key
-/// at bit_width(largest id) bits each, its rows are packed into such
-/// keys first, so the passes stream over keys instead of reading each
-/// row's items. A group too small to pay for a counting array, or any
-/// group once ids pass 2^16, is sorted by comparison instead.
+/// O(group + largest id). A group's rows are first packed into 64-bit
+/// keys of bit_width(largest id) bits per item, so the passes stream
+/// over keys instead of reading each row's items. A group whose L item
+/// ids do not fit one key, one too small to pay for a counting array,
+/// or any group once ids pass 2^16, is sorted by comparison instead.
 template <typename ItemsOf>
 std::vector<uint32_t> CanonicalOrder(size_t num_rows,
                                      const ItemsOf& items_of) {
@@ -199,7 +187,6 @@ std::vector<uint32_t> CanonicalOrder(size_t num_rows,
   const int bits = std::bit_width(max_item | 1u);
   const uint64_t item_mask = (uint64_t{1} << bits) - 1;
   std::vector<uint32_t> count(std::min(digits, kMaxDigits));
-  std::vector<uint32_t> scratch(num_rows);
   // Turns count into bucket starts; false when one bucket holds all m
   // rows, so the pass would keep their order.
   const auto starts = [&count](size_t m) {
@@ -225,54 +212,37 @@ std::vector<uint32_t> CanonicalOrder(size_t num_rows,
     return CanonicalLess(items_of(a), items_of(b));
   };
   for (size_t len = 1; len <= max_len; ++len) {
-    uint32_t* src = order.data() + group_begin[len];
-    uint32_t* dst = scratch.data() + group_begin[len];
+    uint32_t* group = order.data() + group_begin[len];
     const size_t m = group_begin[len + 1] - group_begin[len];
     if (m < 2) continue;
-    if (m * 8 < digits || digits > kMaxDigits) {
-      std::stable_sort(src, src + m, less);
+    if (len * bits > 64 || m * 8 < digits || digits > kMaxDigits) {
+      std::stable_sort(group, group + m, less);
       continue;
     }
-    if (len * bits <= 64) {
-      packed.resize(m);
-      packed_scratch.resize(m);
-      for (size_t k = 0; k < m; ++k) {
-        uint64_t key = 0;
-        for (const uint32_t item : items_of(src[k])) {
-          key = key << bits | item;
-        }
-        packed[k] = Packed{key, src[k]};
+    packed.resize(m);
+    packed_scratch.resize(m);
+    for (size_t k = 0; k < m; ++k) {
+      uint64_t key = 0;
+      for (const uint32_t item : items_of(group[k])) {
+        key = key << bits | item;
       }
-      Packed* from = packed.data();
-      Packed* to = packed_scratch.data();
-      for (size_t pos = len; pos-- > 0;) {
-        const int shift = static_cast<int>(len - 1 - pos) * bits;
-        std::fill(count.begin(), count.end(), 0);
-        for (size_t k = 0; k < m; ++k) {
-          ++count[from[k].key >> shift & item_mask];
-        }
-        if (!starts(m)) continue;
-        for (size_t k = 0; k < m; ++k) {
-          to[count[from[k].key >> shift & item_mask]++] = from[k];
-        }
-        std::swap(from, to);
-      }
-      for (size_t k = 0; k < m; ++k) src[k] = from[k].row;
-      continue;
+      packed[k] = Packed{key, group[k]};
     }
-    // Too long to pack: each pass reads the items through items_of.
+    Packed* from = packed.data();
+    Packed* to = packed_scratch.data();
     for (size_t pos = len; pos-- > 0;) {
+      const int shift = static_cast<int>(len - 1 - pos) * bits;
       std::fill(count.begin(), count.end(), 0);
-      for (size_t k = 0; k < m; ++k) ++count[items_of(src[k])[pos]];
+      for (size_t k = 0; k < m; ++k) {
+        ++count[from[k].key >> shift & item_mask];
+      }
       if (!starts(m)) continue;
       for (size_t k = 0; k < m; ++k) {
-        dst[count[items_of(src[k])[pos]]++] = src[k];
+        to[count[from[k].key >> shift & item_mask]++] = from[k];
       }
-      std::swap(src, dst);
+      std::swap(from, to);
     }
-    if (src != order.data() + group_begin[len]) {
-      std::copy(src, src + m, order.data() + group_begin[len]);
-    }
+    for (size_t k = 0; k < m; ++k) group[k] = from[k].row;
   }
   return order;
 }

@@ -160,7 +160,10 @@ Result<std::vector<Slice>> SliceFinder::FindSlices(
               : welch.p_value < options_.alpha;
       const bool is_problematic = large_effect && significant;
       if (is_problematic) {
-        if (!ctrl.Emit(cand.items.size())) break;
+        if (!ctrl.EmitBytes(sizeof(Slice) +
+                            cand.items.size() * sizeof(uint32_t))) {
+          break;
+        }
         Slice s;
         s.items = cand.items;
         s.size = size;

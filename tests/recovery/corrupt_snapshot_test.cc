@@ -11,11 +11,14 @@
 #include "recovery/atomic_file.h"
 #include "recovery/mining_snapshot.h"
 #include "recovery/snapshot_file.h"
+#include "testing/pattern_buffers.h"
 #include "util/random.h"
 
 namespace divexp {
 namespace recovery {
 namespace {
+
+using divexp::testing::BufferOf;
 
 std::string TempDir() {
   const char* base = std::getenv("TMPDIR");
@@ -31,9 +34,11 @@ std::string ValidMiningSnapshotBytes() {
   state.miner = MinerKind::kFpGrowth;
   state.min_support = 0.05;
   state.num_units = 4;
-  state.units[0] = {MinedPattern{Itemset{0}, OutcomeCounts{3, 1, 2}},
-                    MinedPattern{Itemset{0, 2}, OutcomeCounts{1, 1, 0}}};
-  state.units[3] = {MinedPattern{Itemset{1}, OutcomeCounts{2, 2, 2}}};
+  state.units[0] =
+      BufferOf({MinedPattern{Itemset{0}, OutcomeCounts{3, 1, 2}},
+                MinedPattern{Itemset{0, 2}, OutcomeCounts{1, 1, 0}}});
+  state.units[3] =
+      BufferOf({MinedPattern{Itemset{1}, OutcomeCounts{2, 2, 2}}});
   const std::string path = TempDir() + "/valid_mining.ckpt";
   DIVEXP_CHECK_OK(SaveMiningState(path, state));
   auto bytes = ReadFileToString(path);

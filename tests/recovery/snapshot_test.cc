@@ -14,12 +14,14 @@
 #include "util/failpoint.h"
 #include "recovery/mining_snapshot.h"
 #include "recovery/snapshot_file.h"
+#include "testing/pattern_buffers.h"
 #include "testing/test_data.h"
 
 namespace divexp {
 namespace recovery {
 namespace {
 
+using divexp::testing::BufferOf;
 using divexp::testing::MakeEncoded;
 using divexp::testing::OutcomesFromString;
 
@@ -38,10 +40,12 @@ MiningStateSnapshot MakeState() {
   state.min_support = 0.0625;
   state.max_length = 3;
   state.num_units = 5;
-  state.units[0] = {MinedPattern{Itemset{0}, OutcomeCounts{4, 2, 1}},
-                    MinedPattern{Itemset{0, 3}, OutcomeCounts{2, 1, 0}}};
+  state.units[0] =
+      BufferOf({MinedPattern{Itemset{0}, OutcomeCounts{4, 2, 1}},
+                MinedPattern{Itemset{0, 3}, OutcomeCounts{2, 1, 0}}});
   state.units[2] = {};  // a completed unit may legitimately be empty
-  state.units[4] = {MinedPattern{Itemset{1, 2, 5}, OutcomeCounts{9, 0, 3}}};
+  state.units[4] =
+      BufferOf({MinedPattern{Itemset{1, 2, 5}, OutcomeCounts{9, 0, 3}}});
   return state;
 }
 
@@ -140,7 +144,8 @@ TEST(CheckpointerTest, FreshRunWritesAndResumeRestores) {
   ASSERT_TRUE(begun.ok());
   EXPECT_FALSE(*begun);  // nothing to restore
   (*cp)->BeginRun(3);
-  (*cp)->UnitMined(0, {MinedPattern{Itemset{2}, OutcomeCounts{1, 0, 0}}});
+  (*cp)->UnitMined(
+      0, BufferOf({MinedPattern{Itemset{2}, OutcomeCounts{1, 0, 0}}}));
   (*cp)->UnitMined(1, {});
   EXPECT_TRUE((*cp)->Flush().ok());
   EXPECT_GE((*cp)->checkpoints_written(), 1u);

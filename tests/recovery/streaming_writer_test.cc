@@ -13,6 +13,7 @@
 #include "recovery/checkpoint.h"
 #include "recovery/mining_snapshot.h"
 #include "recovery/snapshot_file.h"
+#include "testing/pattern_buffers.h"
 #include "util/failpoint.h"
 #include "util/run_guard.h"
 
@@ -147,7 +148,8 @@ TEST(StreamingSnapshotTest, SmallStatesRoundTripThroughTheChunkedPath) {
           MiningStateSnapshot s;
           s.fingerprint = 7;
           s.num_units = 1;
-          s.units[0] = {MinedPattern{Itemset{3}, OutcomeCounts{1, 2, 3}}};
+          s.units[0] = testing::BufferOf(
+              {MinedPattern{Itemset{3}, OutcomeCounts{1, 2, 3}}});
           return s;
         }()}) {
     ASSERT_TRUE(SaveMiningState(dir + "/buffered.ckpt", state).ok());

@@ -256,7 +256,7 @@ TEST(SliceFinderGuardTest, MemoryAccountingBalancesAfterRun) {
   // the emitted output (owned by the caller now, like miner patterns).
   uint64_t out_bytes = 0;
   for (const Slice& s : *slices) {
-    out_bytes += PatternBuffer::RowBytes(s.items.size());
+    out_bytes += sizeof(Slice) + s.items.size() * sizeof(uint32_t);
   }
   EXPECT_EQ(guard.memory_bytes(), out_bytes);
 }
