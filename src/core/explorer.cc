@@ -63,6 +63,16 @@ Result<MiningSetup> ResolveMining(const EncodedDataset& dataset,
   return setup;
 }
 
+MinerOptions MinerOptionsFor(const ExplorerOptions& options,
+                             const fpm::MiningPlan& plan) {
+  MinerOptions mopts;
+  mopts.min_support = options.min_support;
+  mopts.max_length = options.max_length;
+  mopts.num_threads = plan.num_threads;
+  mopts.kernel = plan.kernel;
+  return mopts;
+}
+
 Result<PatternTable> DivergenceExplorer::Explore(
     const EncodedDataset& dataset, const std::vector<int>& predictions,
     const std::vector<int>& truths, Metric metric) const {
@@ -154,13 +164,10 @@ Result<PatternTable> DivergenceExplorer::ExploreOutcomes(
   for (size_t attempt = 0;; ++attempt) {
     if (attempt > 0 && guard != nullptr) guard->Reset();
 
-    MinerOptions mopts;
+    MinerOptions mopts = MinerOptionsFor(options_, plan);
     mopts.min_support = support;
-    mopts.max_length = options_.max_length;
-    mopts.num_threads = plan.num_threads;
     mopts.guard = guard;
     mopts.stages = &stages;
-    mopts.kernel = plan.kernel;
     if (checkpointer != nullptr) {
       // Strict on the first attempt of an explicit --resume: a snapshot
       // that cannot apply is an error, not a silent remine.

@@ -109,6 +109,13 @@ struct MiningSetup {
 Result<MiningSetup> ResolveMining(const EncodedDataset& dataset,
                                   const ExplorerOptions& options);
 
+/// The MinerOptions of a run of `options` resolved to `plan`: the
+/// support threshold and length cap of `options`, the kernel and thread
+/// count of `plan`. Every mining call of every explorer starts here and
+/// then attaches its own guard, stage sink and checkpoint sink.
+MinerOptions MinerOptionsFor(const ExplorerOptions& options,
+                             const fpm::MiningPlan& plan);
+
 /// Timing breakdown of a run (used for Fig. 6 and the mining-vs-post
 /// processing split reported in §6.1).
 struct ExplorerTimings {

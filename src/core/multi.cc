@@ -1,5 +1,9 @@
 #include "core/multi.h"
 
+#include <algorithm>
+#include <string>
+#include <utility>
+
 namespace divexp {
 
 OutcomeCounts ProjectOutcome(Metric metric, const ConfusionCounts& c) {
@@ -45,34 +49,63 @@ OutcomeCounts ProjectOutcome(Metric metric, const ConfusionCounts& c) {
   return o;
 }
 
-std::optional<size_t> MultiPatternTable::Find(const Itemset& items) const {
-  auto it = index_.find(items);
-  if (it == index_.end()) return std::nullopt;
-  return it->second;
+Result<MultiPatternTable> MultiPatternTable::Create(
+    const PatternBuffer& negatives, const PatternBuffer& positives,
+    ItemCatalog catalog, size_t num_rows) {
+  if (negatives.size() != positives.size()) {
+    return Status::Internal("channel pattern sets differ in size");
+  }
+  const std::vector<uint32_t> order = CanonicalOrder(negatives);
+  if (order.empty() || !negatives.row_items(order[0]).empty()) {
+    return Status::Internal("missing empty itemset");
+  }
+  MultiPatternTable table;
+  table.catalog_ = std::move(catalog);
+  table.num_rows_ = num_rows;
+  table.offsets_.reserve(order.size() + 1);
+  table.offsets_.push_back(0);
+  table.counts_.reserve(order.size());
+  for (const uint32_t row : order) {
+    const ItemSpan items = negatives.row_items(row);
+    if (!std::ranges::equal(items, positives.row_items(row))) {
+      return Status::Internal("channel pattern sets disagree at row " +
+                              std::to_string(row));
+    }
+    table.items_.insert(table.items_.end(), items.begin(), items.end());
+    table.offsets_.push_back(table.items_.size());
+    const OutcomeCounts neg = negatives.counts(row);
+    const OutcomeCounts pos = positives.counts(row);
+    table.counts_.push_back({pos.t, neg.t, neg.f, pos.f});
+  }
+  return table;
 }
 
-Result<double> MultiPatternTable::Rate(Metric metric,
-                                       const Itemset& items) const {
-  auto idx = Find(items);
-  if (!idx.has_value()) {
-    return Status::NotFound("itemset not frequent: " +
-                            ItemsetDebugString(items));
-  }
-  return ProjectOutcome(metric, rows_[*idx].counts).PositiveRate();
+std::optional<size_t> MultiPatternTable::Find(ItemSpan items) const {
+  return CanonicalFind(
+      size(), [this](size_t i) { return row_items(i); }, items);
 }
 
 Result<double> MultiPatternTable::Divergence(Metric metric,
-                                             const Itemset& items) const {
-  DIVEXP_ASSIGN_OR_RETURN(double rate, Rate(metric, items));
-  return rate - ProjectOutcome(metric, global_).PositiveRate();
+                                             ItemSpan items) const {
+  const auto idx = Find(items);
+  if (!idx.has_value()) {
+    return Status::NotFound(
+        "itemset not frequent: " +
+        ItemsetDebugString(Itemset(items.begin(), items.end())));
+  }
+  return ProjectOutcome(metric, counts(*idx)).PositiveRate() -
+         ProjectOutcome(metric, global_counts()).PositiveRate();
 }
 
 Result<PatternTable> MultiPatternTable::Project(Metric metric) const {
-  PatternBuffer mined;
-  for (const MultiPatternRow& row : rows_) {
-    mined.Append(row.items, ProjectOutcome(metric, row.counts));
+  // Rows go out in this table's canonical order, which Create detects
+  // in one pass instead of sorting.
+  PatternBuffer projected;
+  projected.Reserve(size(), items_.size());
+  for (size_t i = 0; i < size(); ++i) {
+    projected.Append(row_items(i), ProjectOutcome(metric, counts(i)));
   }
-  return PatternTable::Create(std::move(mined), catalog_, num_rows_);
+  return PatternTable::Create(std::move(projected), catalog_, num_rows_);
 }
 
 Result<MultiPatternTable> MultiExplorer::Explore(
@@ -96,66 +129,23 @@ Result<MultiPatternTable> MultiExplorer::Explore(
       std::vector<Outcome> pos_view,
       ComputeOutcomes(Metric::kTruePositiveRate, predictions, truths));
 
-  MinerOptions mopts;
-  mopts.min_support = options_.min_support;
-  mopts.max_length = options_.max_length;
   DIVEXP_ASSIGN_OR_RETURN(MiningSetup setup,
                           ResolveMining(dataset, options_));
-  const std::unique_ptr<FrequentPatternMiner>& miner = setup.miner;
+  const MinerOptions mopts = MinerOptionsFor(options_, setup.plan);
 
-  DIVEXP_ASSIGN_OR_RETURN(
-      TransactionDatabase db1,
-      TransactionDatabase::Create(dataset, std::move(neg_view)));
-  DIVEXP_ASSIGN_OR_RETURN(const PatternBuffer mined1,
-                          miner->MineBuffer(db1, mopts));
-  DIVEXP_ASSIGN_OR_RETURN(
-      TransactionDatabase db2,
-      TransactionDatabase::Create(dataset, std::move(pos_view)));
-  DIVEXP_ASSIGN_OR_RETURN(const PatternBuffer mined2,
-                          miner->MineBuffer(db2, mopts));
-
-  // Same dataset, same support threshold: both runs enumerate exactly
-  // the same frequent itemsets (support is outcome-independent).
-  if (mined1.size() != mined2.size()) {
-    return Status::Internal("channel pattern sets differ in size");
-  }
-  std::unordered_map<Itemset, OutcomeCounts, ItemsetHash, ItemsetEq>
-      pos_index;
-  pos_index.reserve(mined2.size());
-  for (size_t i = 0; i < mined2.size(); ++i) {
-    const ItemSpan items = mined2.row_items(i);
-    pos_index.emplace(Itemset(items.begin(), items.end()), mined2.counts(i));
-  }
-
-  MultiPatternTable table;
-  table.catalog_ = dataset.catalog;
-  table.num_rows_ = dataset.num_rows;
-  table.rows_.reserve(mined1.size());
-  table.index_.reserve(mined1.size());
-  const double denom = static_cast<double>(dataset.num_rows);
-  for (size_t i = 0; i < mined1.size(); ++i) {
-    const ItemSpan items = mined1.row_items(i);
-    auto it = pos_index.find(items);
-    if (it == pos_index.end()) {
-      return Status::Internal("channel pattern sets disagree");
-    }
-    const OutcomeCounts neg = mined1.counts(i);
-    MultiPatternRow row;
-    row.counts.fp = neg.t;
-    row.counts.tn = neg.f;
-    row.counts.tp = it->second.t;
-    row.counts.fn = it->second.f;
-    row.support = static_cast<double>(row.counts.total()) / denom;
-    row.items.assign(items.begin(), items.end());
-    table.index_.emplace(row.items, table.rows_.size());
-    table.rows_.push_back(std::move(row));
-  }
-  const auto root = table.Find(Itemset{});
-  if (!root.has_value()) {
-    return Status::Internal("missing empty itemset");
-  }
-  table.global_ = table.rows_[*root].counts;
-  return table;
+  const auto mine =
+      [&](std::vector<Outcome> outcomes) -> Result<PatternBuffer> {
+    DIVEXP_ASSIGN_OR_RETURN(
+        TransactionDatabase db,
+        TransactionDatabase::Create(dataset, std::move(outcomes)));
+    return setup.miner->MineBuffer(db, mopts);
+  };
+  DIVEXP_ASSIGN_OR_RETURN(const PatternBuffer negatives,
+                          mine(std::move(neg_view)));
+  DIVEXP_ASSIGN_OR_RETURN(const PatternBuffer positives,
+                          mine(std::move(pos_view)));
+  return MultiPatternTable::Create(negatives, positives, dataset.catalog,
+                                   dataset.num_rows);
 }
 
 }  // namespace divexp

@@ -7,6 +7,11 @@
 // tallies once therefore yields the divergence of *every* metric at
 // once; the MultiPatternTable projects any Metric into a standard
 // PatternTable (with significance) without re-mining.
+//
+// The table is columnar and in canonical order, like PatternTable: flat
+// u32 items, u64 offsets and one ConfusionCounts per row, so no row owns
+// a heap object, Find is a binary search (CanonicalFind) and Project
+// hands PatternTable::Create rows that are already canonical.
 #ifndef DIVEXP_CORE_MULTI_H_
 #define DIVEXP_CORE_MULTI_H_
 
@@ -34,46 +39,55 @@ struct ConfusionCounts {
 /// (the inverse of Def. 3.2's per-instance mapping, applied to counts).
 OutcomeCounts ProjectOutcome(Metric metric, const ConfusionCounts& c);
 
-/// One row of the multi-metric pattern table.
-struct MultiPatternRow {
-  Itemset items;
-  ConfusionCounts counts;
-  double support = 0.0;
-};
-
 /// Pattern table carrying full confusion counts: any metric's rate,
 /// divergence and significance can be read off without re-mining.
 class MultiPatternTable {
  public:
-  size_t size() const { return rows_.size(); }
-  const MultiPatternRow& row(size_t i) const { return rows_[i]; }
+  /// Zips the two outcome channels MultiExplorer mines, `negatives`
+  /// with (T, F) = (FP, TN) and `positives` with (T, F) = (TP, FN), into
+  /// canonical order. Support does not depend on the outcome, so both
+  /// mines emit the same itemsets in the same order: row i must hold
+  /// the same items in both, and the empty itemset must be present, or
+  /// the result is Internal.
+  static Result<MultiPatternTable> Create(const PatternBuffer& negatives,
+                                          const PatternBuffer& positives,
+                                          ItemCatalog catalog,
+                                          size_t num_rows);
+
+  size_t size() const { return offsets_.empty() ? 0 : offsets_.size() - 1; }
+  ItemSpan row_items(size_t i) const {
+    return ItemSpan(items_).subspan(offsets_[i],
+                                    offsets_[i + 1] - offsets_[i]);
+  }
+  const ConfusionCounts& counts(size_t i) const { return counts_[i]; }
   const ItemCatalog& catalog() const { return catalog_; }
   size_t num_dataset_rows() const { return num_rows_; }
-  const ConfusionCounts& global_counts() const { return global_; }
+  /// The empty itemset's counts: the whole dataset's confusion matrix.
+  const ConfusionCounts& global_counts() const { return counts_[0]; }
 
-  std::optional<size_t> Find(const Itemset& items) const;
+  /// Row index of an itemset, if frequent.
+  std::optional<size_t> Find(ItemSpan items) const;
 
-  /// f_metric(I) for a frequent itemset.
-  Result<double> Rate(Metric metric, const Itemset& items) const;
+  /// Δ_metric(I) for a frequent itemset; NotFound otherwise.
+  Result<double> Divergence(Metric metric, ItemSpan items) const;
 
-  /// Δ_metric(I) for a frequent itemset.
-  Result<double> Divergence(Metric metric, const Itemset& items) const;
-
-  /// Full single-metric PatternTable (with Welch t) — plugs into all
+  /// Full single-metric PatternTable (with Welch t), equal to
+  /// DivergenceExplorer::Explore's for `metric` — plugs into all
   /// downstream tools (Shapley, global divergence, pruning, lattices).
   Result<PatternTable> Project(Metric metric) const;
 
  private:
-  friend class MultiExplorer;
-  std::vector<MultiPatternRow> rows_;
-  std::unordered_map<Itemset, size_t, ItemsetHash> index_;
+  MultiPatternTable() = default;  // Create builds every table
+
+  std::vector<uint32_t> items_;
+  std::vector<uint64_t> offsets_;
+  std::vector<ConfusionCounts> counts_;
   ItemCatalog catalog_;
   size_t num_rows_ = 0;
-  ConfusionCounts global_;
 };
 
-/// Runs Algorithm 1 once (two complementary outcome channels over a
-/// single transaction construction) and returns the multi-metric table.
+/// Runs Algorithm 1 once (two complementary outcome channels, both
+/// mined with the resolved plan) and returns the multi-metric table.
 /// A dataset with no rows is InvalidArgument, as in the other explorers.
 class MultiExplorer {
  public:

@@ -138,8 +138,7 @@ class PatternTable {
 
   /// The columns, as the artifact writer copies them.
   TableColumns columns() const {
-    return TableColumns{items_, offsets_, tallies_, stats_, subset_links_,
-                        offsets_};
+    return TableColumns{items_, offsets_, tallies_, stats_, subset_links_};
   }
 
   const ItemCatalog& catalog() const { return catalog_; }

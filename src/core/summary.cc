@@ -1,6 +1,8 @@
 #include "core/summary.h"
 
+#include <optional>
 #include <sstream>
+#include <utility>
 
 #include "core/corrective.h"
 #include "core/global_divergence.h"
@@ -85,16 +87,17 @@ Result<std::string> GenerateAuditReport(
      << dataset.catalog.num_items() << " items. Support threshold s = "
      << FormatDouble(options.explorer.min_support, 3) << ".\n\n";
 
+  // The first metric's projection is kept for the global item ranking.
+  std::optional<PatternTable> first;
   for (Metric metric : options.metrics) {
     os << "## " << MetricName(metric) << " divergence\n\n";
     DIVEXP_ASSIGN_OR_RETURN(PatternTable table, multi.Project(metric));
     PatternTableSection(table, metric, options, os);
+    if (!first.has_value()) first = std::move(table);
   }
 
   // Global item ranking on the first metric.
-  DIVEXP_ASSIGN_OR_RETURN(PatternTable first,
-                          multi.Project(options.metrics.front()));
-  const auto globals = ComputeGlobalItemDivergence(first);
+  const auto globals = ComputeGlobalItemDivergence(*first);
   std::vector<GlobalItemDivergence> sorted = globals;
   std::stable_sort(sorted.begin(), sorted.end(),
                    [](const auto& a, const auto& b) {
@@ -105,7 +108,7 @@ Result<std::string> GenerateAuditReport(
   os << "| item | global | individual |\n|---|---|---|\n";
   const size_t n_items = std::min<size_t>(sorted.size(), options.top_k * 2);
   for (size_t i = 0; i < n_items; ++i) {
-    os << "| " << first.catalog().ItemName(sorted[i].item) << " | "
+    os << "| " << first->catalog().ItemName(sorted[i].item) << " | "
        << FormatDouble(sorted[i].global, 4) << " | "
        << FormatDouble(sorted[i].individual, 4) << " |\n";
   }

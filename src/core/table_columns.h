@@ -11,13 +11,11 @@
 //   tallies       u64   kTalliesPerRow: (t, f, bot)
 //   stats         f64   kStatsPerRow: (support, rate, divergence, t)
 //   subset_links  u32   |I|, aligned with items; row i owns
-//                       [link_offsets[i], link_offsets[i+1])
-//   link_offsets  u64   1, plus a final sentinel
+//                       [item_offsets[i], item_offsets[i+1])
 //
-// Links are aligned with items, so an in-memory table has one offsets
-// array and hands it out as both item_offsets and link_offsets. The
-// artifact stores the two sections separately; TableView::row_ok
-// rejects a corrupt file where they disagree.
+// Links are aligned with items, so one offsets array serves both, in
+// memory and in the artifact (format v3 dropped its separate
+// link_offsets section, a copy of item_offsets).
 #ifndef DIVEXP_CORE_TABLE_COLUMNS_H_
 #define DIVEXP_CORE_TABLE_COLUMNS_H_
 
@@ -50,7 +48,6 @@ struct TableColumns {
   std::span<const double> stats;
   /// kNoLink (UINT32_MAX) marks a subset dropped by guard truncation.
   std::span<const uint32_t> subset_links;
-  std::span<const uint64_t> link_offsets;  ///< num_rows + 1 entries
 
   size_t size() const {
     return item_offsets.empty() ? 0 : item_offsets.size() - 1;

@@ -14,7 +14,8 @@
 // CanonicalOrder computes the canonical row order — ascending itemset
 // length, then lexicographic items — without comparing rows: a counting
 // sort by length, then an LSD radix sort of each length group by item
-// position, the item id being the digit.
+// position, the item id being the digit. CanonicalFind is the binary
+// search that canonical order allows.
 #ifndef DIVEXP_FPM_PATTERN_BUFFER_H_
 #define DIVEXP_FPM_PATTERN_BUFFER_H_
 
@@ -22,6 +23,7 @@
 #include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -134,6 +136,28 @@ inline bool CanonicalLess(ItemSpan a, ItemSpan b) {
   if (a.size() != b.size()) return a.size() < b.size();
   return std::lexicographical_compare(a.begin(), a.end(), b.begin(),
                                       b.end());
+}
+
+/// Row index of itemset `q` among rows 0..num_rows-1 whose itemsets
+/// (`items_of(i)`) are in canonical order: a binary search, O(log n ·
+/// |q|), with no allocation and no side index.
+template <typename ItemsOf>
+std::optional<size_t> CanonicalFind(size_t num_rows, const ItemsOf& items_of,
+                                    ItemSpan q) {
+  size_t lo = 0;
+  size_t hi = num_rows;
+  while (lo < hi) {
+    const size_t mid = lo + (hi - lo) / 2;
+    if (CanonicalLess(items_of(mid), q)) {
+      lo = mid + 1;
+    } else {
+      hi = mid;
+    }
+  }
+  if (lo >= num_rows || !std::ranges::equal(items_of(lo), q)) {
+    return std::nullopt;
+  }
+  return lo;
 }
 
 /// Row ids 0..num_rows-1 in canonical order of their itemsets

@@ -118,8 +118,6 @@ const char* ArtifactSectionName(ArtifactSection id) {
       return "stats";
     case ArtifactSection::kSubsetLinks:
       return "subset_links";
-    case ArtifactSection::kLinkOffsets:
-      return "link_offsets";
     case ArtifactSection::kCatalog:
       return "catalog";
   }
@@ -146,8 +144,7 @@ Result<std::string> SerializePatternTableArtifact(const PatternTable& table) {
     size_t size;
   };
   // The table already stores the artifact's columns: each section is
-  // one contiguous copy. The single offsets array goes out twice, as
-  // item_offsets and link_offsets.
+  // one contiguous copy.
   const SectionPayload sections[kArtifactSectionCount] = {
       {ArtifactSection::kItems, columns.items.data(),
        columns.items.size_bytes()},
@@ -159,8 +156,6 @@ Result<std::string> SerializePatternTableArtifact(const PatternTable& table) {
        columns.stats.size_bytes()},
       {ArtifactSection::kSubsetLinks, columns.subset_links.data(),
        columns.subset_links.size_bytes()},
-      {ArtifactSection::kLinkOffsets, columns.link_offsets.data(),
-       columns.link_offsets.size_bytes()},
       {ArtifactSection::kCatalog, catalog_blob.data(),
        catalog_blob.size()},
   };
@@ -347,8 +342,7 @@ Status PatternTableArtifact::Attach(ArtifactValidation validation) {
   const ArtifactSectionInfo& sec_tallies = info_.sections[2];
   const ArtifactSectionInfo& sec_stats = info_.sections[3];
   const ArtifactSectionInfo& sec_links = info_.sections[4];
-  const ArtifactSectionInfo& sec_loff = info_.sections[5];
-  const ArtifactSectionInfo& sec_catalog = info_.sections[6];
+  const ArtifactSectionInfo& sec_catalog = info_.sections[5];
   if (sec_items.size % 4 != 0) {
     return SectionError(sec_items.id, "size is not a multiple of 4");
   }
@@ -369,10 +363,6 @@ Status PatternTableArtifact::Attach(ArtifactValidation validation) {
     return SectionError(sec_links.id,
                         "size disagrees with the items section");
   }
-  if (sec_loff.size != (n + 1) * 8) {
-    return SectionError(sec_loff.id,
-                        "size disagrees with the header row count");
-  }
 
   view_ = TableView{};
   view_.items = std::span<const uint32_t>(
@@ -388,8 +378,6 @@ Status PatternTableArtifact::Attach(ArtifactValidation validation) {
   view_.subset_links = std::span<const uint32_t>(
       reinterpret_cast<const uint32_t*>(base_ + sec_links.offset),
       total_items);
-  view_.link_offsets = std::span<const uint64_t>(
-      reinterpret_cast<const uint64_t*>(base_ + sec_loff.offset), n + 1);
 
   // Endpoint checks are O(1); interior offset entries are only proven
   // monotone in the full tier. A header-tier open therefore hands out a
@@ -400,11 +388,6 @@ Status PatternTableArtifact::Attach(ArtifactValidation validation) {
       view_.item_offsets.back() != total_items) {
     return SectionError(sec_ioff.id,
                         "does not span the items section exactly");
-  }
-  if (view_.link_offsets.front() != 0 ||
-      view_.link_offsets.back() != total_items) {
-    return SectionError(sec_loff.id,
-                        "does not span the subset-links section exactly");
   }
 
   // The catalog is parsed (and CRC-checked) even at the header tier:
@@ -446,11 +429,6 @@ Status PatternTableArtifact::ValidateFully() const {
     if (begin > end || end > total_items) {
       return Status::InvalidArgument(
           "artifact item offsets are not monotone at row " +
-          std::to_string(i));
-    }
-    if (view_.link_offsets[i] != begin || view_.link_offsets[i + 1] != end) {
-      return Status::InvalidArgument(
-          "artifact link offsets disagree with item offsets at row " +
           std::to_string(i));
     }
     const ItemSpan items = view_.row_items(i);

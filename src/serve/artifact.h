@@ -1,4 +1,4 @@
-// Zero-copy pattern-table artifact (format v2).
+// Zero-copy pattern-table artifact (format v3).
 //
 // The artifact is the one binary format of a pattern table (CSV in
 // core/table_io.h is the human export): a relocatable, offset-based
@@ -17,9 +17,9 @@
 //   12      4     endian_tag     kArtifactEndianTag (0x01020304)
 //   16      8     file_size      total bytes, must equal the file
 //   24      8     fingerprint    TableFingerprint of the logical table
-//                                (v2: the word-wise hash; v1 files,
-//                                whose fingerprint was byte-wise FNV-1a,
-//                                fail the version check)
+//                                (the word-wise hash since v2; v1
+//                                files, whose fingerprint was byte-wise
+//                                FNV-1a, fail the version check)
 //   32      8     num_rows
 //   40      8     num_dataset_rows
 //   48      8     global_rate    f(D)
@@ -29,7 +29,7 @@
 //   76      4     section_table_crc  CRC32 of the section table bytes
 //   80      4     header_crc     CRC32 of header bytes [0, 80)
 //   84      4     reserved       0
-//   88      7x32  section table  {id, pad, offset, size, crc, pad}
+//   88      6x32  section table  {id, pad, offset, size, crc, pad}
 //   ...           sections, each 64-byte aligned (file-relative offsets)
 //
 // Sections (fixed ids and order):
@@ -37,9 +37,11 @@
 //   2 item_offsets  u64[num_rows + 1]
 //   3 tallies       u64[3 * num_rows]  (t, f, bot) per row
 //   4 stats         f64[4 * num_rows]  (support, rate, divergence, t)
-//   5 subset_links  u32[total_items]   lattice links, kNoLink = absent
-//   6 link_offsets  u64[num_rows + 1]
-//   7 catalog       ByteWriter blob: per attribute, name + value labels
+//   5 subset_links  u32[total_items]   lattice links, kNoLink = absent;
+//                                      delimited by item_offsets
+//   6 catalog       ByteWriter blob: per attribute, name + value labels
+//
+// v3 dropped v2's link_offsets section, a copy of item_offsets.
 //
 // Rows are stored in canonical order (length, then lexicographic items
 // — the order PatternTable::Create establishes), so lookup is a binary
@@ -73,10 +75,10 @@ namespace divexp {
 namespace serve {
 
 inline constexpr uint64_t kArtifactMagic = 0x4C42545058455644ull;
-inline constexpr uint32_t kArtifactVersion = 2;
+inline constexpr uint32_t kArtifactVersion = 3;
 inline constexpr uint32_t kArtifactEndianTag = 0x01020304u;
 inline constexpr size_t kArtifactHeaderSize = 88;
-inline constexpr size_t kArtifactSectionCount = 7;
+inline constexpr size_t kArtifactSectionCount = 6;
 inline constexpr size_t kArtifactSectionEntrySize = 32;
 inline constexpr size_t kArtifactAlignment = 64;
 
@@ -87,8 +89,7 @@ enum class ArtifactSection : uint32_t {
   kTallies = 3,
   kStats = 4,
   kSubsetLinks = 5,
-  kLinkOffsets = 6,
-  kCatalog = 7,
+  kCatalog = 6,
 };
 
 /// "items", "item_offsets", ... for dumps and error messages.

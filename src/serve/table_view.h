@@ -56,51 +56,28 @@ struct TableView : TableColumns {
   }
   std::span<const uint32_t> row_links(size_t i) const {
     const uint64_t limit = subset_links.size();
-    const uint64_t begin = std::min<uint64_t>(link_offsets[i], limit);
+    const uint64_t begin = std::min<uint64_t>(item_offsets[i], limit);
     const uint64_t end = std::min<uint64_t>(
-        std::max(link_offsets[i + 1], begin), limit);
+        std::max(item_offsets[i + 1], begin), limit);
     return subset_links.subspan(begin, end - begin);
   }
 
-  /// Exact offset validity for row i: both offset pairs ordered, in
-  /// range, and of equal length (the writer emits one link per item).
-  /// False means the artifact's payload is corrupt in a way the
-  /// header-tier open cannot see.
+  /// Exact offset validity for row i: the offset pair ordered and in
+  /// range. Links are aligned with items, and the artifact open checks
+  /// that the two columns are the same length, so this covers
+  /// row_links(i) too. False means the artifact's payload is corrupt in
+  /// a way the header-tier open cannot see.
   bool row_ok(size_t i) const {
-    const uint64_t ib = item_offsets[i];
-    const uint64_t ie = item_offsets[i + 1];
-    const uint64_t lb = link_offsets[i];
-    const uint64_t le = link_offsets[i + 1];
-    return ib <= ie && ie <= items.size() && lb <= le &&
-           le <= subset_links.size() && ie - ib == le - lb;
-  }
-
-  /// True when row i's itemset orders strictly before `q` in canonical
-  /// order (length first, then lexicographic).
-  bool RowLess(size_t i, ItemSpan q) const {
-    return CanonicalLess(row_items(i), q);
+    return item_offsets[i] <= item_offsets[i + 1] &&
+           item_offsets[i + 1] <= items.size();
   }
 
   /// Row index of an itemset via binary search over the canonical
-  /// order; O(log n * |q|), no allocation, no side index.
+  /// order (CanonicalFind); O(log n * |q|), no allocation, no side
+  /// index.
   std::optional<size_t> Find(ItemSpan q) const {
-    size_t lo = 0;
-    size_t hi = size();
-    while (lo < hi) {
-      const size_t mid = lo + (hi - lo) / 2;
-      if (RowLess(mid, q)) {
-        lo = mid + 1;
-      } else {
-        hi = mid;
-      }
-    }
-    if (lo >= size()) return std::nullopt;
-    const ItemSpan r = row_items(lo);
-    if (r.size() != q.size() ||
-        !std::equal(r.begin(), r.end(), q.begin())) {
-      return std::nullopt;
-    }
-    return lo;
+    return CanonicalFind(
+        size(), [this](size_t i) { return row_items(i); }, q);
   }
 };
 

@@ -38,7 +38,7 @@ Result<ShardMergeResult> MergeShardContributions(
     const std::vector<uint64_t>& expected_fingerprints,
     const std::vector<bool>& include_rows,
     const std::vector<ShardContribution>& contributions,
-    const ShardMergeOptions& options) {
+    const MinerOptions& options) {
   DIVEXP_FAILPOINT_STATUS("shard.merge.verify");
   if (plan.size() != expected_fingerprints.size() ||
       plan.size() != include_rows.size()) {

@@ -50,21 +50,6 @@ struct ShardContribution {
   PatternBuffer patterns;
 };
 
-struct ShardMergeOptions {
-  /// Global relative support threshold (applied to the covered rows).
-  double min_support = 0.05;
-  /// Itemset length cap; 0 = unbounded. Longer candidates are ignored.
-  size_t max_length = 0;
-  /// Worker threads for the phase-2 recount.
-  size_t num_threads = 1;
-  /// Kernel table for the phase-2 bitmap tallies. Every choice yields
-  /// the same tallies, so this only affects speed.
-  fpm::KernelKind kernel = fpm::KernelKind::kAuto;
-  /// Optional per-stage accounting (records obs::kStageShardVerify,
-  /// with the recount's bitmap bytes as its peak).
-  obs::StageCollector* stages = nullptr;
-};
-
 struct ShardMergeResult {
   /// Globally frequent patterns over the covered rows, with exact
   /// tallies, in canonical order; the empty itemset (whole covered
@@ -92,13 +77,20 @@ struct ShardMergeResult {
 /// The result is downward-closed: a candidate is kept only when all
 /// its immediate sub-patterns are kept too (relevant only for partial
 /// candidate sets; a complete SON union is closed by construction).
+///
+/// `options` are the run's mining options: `min_support` applies to
+/// the covered rows, candidates longer than a nonzero `max_length` are
+/// ignored, `num_threads` and `kernel` drive the phase-2 recount (every
+/// kernel yields the same tallies), and `stages`, if set, records
+/// obs::kStageShardVerify with the recount's bitmap bytes as its peak.
+/// The guard and checkpoint sink are not used.
 Result<ShardMergeResult> MergeShardContributions(
     const EncodedDataset& dataset, const std::vector<Outcome>& outcomes,
     const std::vector<ShardRange>& plan,
     const std::vector<uint64_t>& expected_fingerprints,
     const std::vector<bool>& include_rows,
     const std::vector<ShardContribution>& contributions,
-    const ShardMergeOptions& options);
+    const MinerOptions& options);
 
 }  // namespace shard
 }  // namespace divexp

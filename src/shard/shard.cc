@@ -32,18 +32,12 @@ struct ShardWork {
 };
 
 ShardOutcome RunShardUnit(size_t shard_index, const ShardWork& work,
-                          const ShardedExplorerOptions& options) {
+                          const ShardedExplorerOptions& options,
+                          const MiningSetup& mining) {
   ShardOutcome out;
   out.shard = shard_index;
   obs::StageCollector collector;
   obs::MetricsRegistry& reg = obs::MetricsRegistry::Default();
-
-  const std::unique_ptr<FrequentPatternMiner> miner =
-      MakeMiner(options.base.miner);
-  if (miner == nullptr) {
-    out.status = Status::InvalidArgument("unknown miner kind");
-    return out;
-  }
 
   auto attempt_fn = [&](size_t attempt) -> Status {
     reg.GetCounter("shard.attempts")->Add(1);
@@ -75,7 +69,7 @@ ShardOutcome RunShardUnit(size_t shard_index, const ShardWork& work,
       params.attempt = attempt;
       params.fingerprint = work.fingerprint;
       params.timeout_ms = timeout;
-      result = RunShardAttempt(work.db, options.base, *miner, params,
+      result = RunShardAttempt(work.db, options.base, mining, params,
                                &collector);
     }
     out.resumed = out.resumed || result.resumed;
@@ -218,8 +212,9 @@ Result<PatternTable> ShardedExplorer::ExploreOutcomes(
   stats_.effective_min_support = options_.base.min_support;
   // Every shard inherits the base options and an identically-shaped
   // slice (same attributes/items, fewer rows), so they all resolve to
-  // the same miner and kernel: resolve once here, and hand the resolved
-  // miner to shard units, worker specs and shard checkpoints.
+  // the same plan: resolve once here, and hand the resolved miner,
+  // kernel and thread count to shard units, worker specs and shard
+  // checkpoints.
   DIVEXP_ASSIGN_OR_RETURN(const MiningSetup mining,
                           ResolveMining(dataset, options_.base));
   stats_.miner = MinerKindName(mining.plan.miner);
@@ -227,6 +222,8 @@ Result<PatternTable> ShardedExplorer::ExploreOutcomes(
   stats_.dispatch_rationale = mining.plan.rationale;
   ShardedExplorerOptions run_options = options_;
   run_options.base.miner = mining.plan.miner;
+  run_options.base.kernel = mining.plan.kernel;
+  run_options.base.num_threads = mining.plan.num_threads;
   obs::MetricsRegistry& reg = obs::MetricsRegistry::Default();
   reg.GetCounter("shard.runs")->Add(1);
   const uint64_t faults0 =
@@ -276,7 +273,7 @@ Result<PatternTable> ShardedExplorer::ExploreOutcomes(
       results[i].shard = i;
       return;
     }
-    results[i] = RunShardUnit(i, work[i], run_options);
+    results[i] = RunShardUnit(i, work[i], run_options, mining);
   });
 
   obs::StageCollector stages;
@@ -376,11 +373,7 @@ Result<PatternTable> ShardedExplorer::ExploreOutcomes(
   ShardMergeResult merged;
   {
     obs::StageTimer merge_timer(&stages, obs::kStageShardMerge);
-    ShardMergeOptions mopts;
-    mopts.min_support = options_.base.min_support;
-    mopts.max_length = options_.base.max_length;
-    mopts.num_threads = options_.base.num_threads;
-    mopts.kernel = options_.base.kernel;
+    MinerOptions mopts = MinerOptionsFor(options_.base, mining.plan);
     mopts.stages = &stages;
     DIVEXP_ASSIGN_OR_RETURN(
         merged, MergeShardContributions(dataset, outcomes, plan,

@@ -26,7 +26,7 @@ std::string ShardCheckpointDir(const std::string& base_dir, size_t shard) {
 
 ShardAttemptResult RunShardAttempt(const TransactionDatabase& db,
                                    const ExplorerOptions& base,
-                                   const FrequentPatternMiner& miner,
+                                   const MiningSetup& mining,
                                    const ShardAttemptParams& params,
                                    obs::StageCollector* stages) {
   ShardAttemptResult out;
@@ -83,18 +83,14 @@ ShardAttemptResult RunShardAttempt(const TransactionDatabase& db,
       }
     };
 
-    MinerOptions mopts;
-    mopts.min_support = base.min_support;
-    mopts.max_length = base.max_length;
-    mopts.num_threads = base.num_threads;
-    mopts.kernel = base.kernel;
+    MinerOptions mopts = MinerOptionsFor(base, mining.plan);
     mopts.guard = guard_ptr;
     mopts.stages = stages;
     mopts.checkpoint = checkpointer.get();
 
     PatternBuffer patterns;
     try {
-      Result<PatternBuffer> mined = miner.MineBuffer(db, mopts);
+      Result<PatternBuffer> mined = mining.miner->MineBuffer(db, mopts);
       if (!mined.ok()) {
         absorb_checkpoint_stats();
         return mined.status();

@@ -57,13 +57,14 @@ struct ShardAttemptResult {
 
 /// Runs one attempt: checkpointer setup (resume on retries, corrupt
 /// snapshots discarded for the next attempt), guarded mining with the
-/// retry deadline override, flush-on-truncation, fingerprint stamp.
+/// retry deadline override and `mining`'s miner and plan,
+/// flush-on-truncation, fingerprint stamp.
 /// Exceptions from the miner are contained into the returned status;
 /// `base.guard` and `base.on_limit` are ignored (a breach is a shard
 /// failure for the caller's retry loop, never an escalation).
 ShardAttemptResult RunShardAttempt(const TransactionDatabase& db,
                                    const ExplorerOptions& base,
-                                   const FrequentPatternMiner& miner,
+                                   const MiningSetup& mining,
                                    const ShardAttemptParams& params,
                                    obs::StageCollector* stages);
 

@@ -216,12 +216,11 @@ int ShardWorkerMain(const std::vector<std::string>& args) {
         FrameStats{}, 1);
   }
 
-  const std::unique_ptr<FrequentPatternMiner> miner =
-      MakeMiner(spec->base.miner);
-  if (miner == nullptr) {
-    return ReportFatal(&sender,
-                       Status::InvalidArgument("unknown miner kind"),
-                       FrameStats{}, 1);
+  // The coordinator wrote its resolved plan into the spec, so this
+  // resolves to the same miner, kernel and thread count.
+  Result<MiningSetup> mining = ResolveMining(spec->data, spec->base);
+  if (!mining.ok()) {
+    return ReportFatal(&sender, mining.status(), FrameStats{}, 1);
   }
 
   ShardAttemptParams params;
@@ -234,7 +233,7 @@ int ShardWorkerMain(const std::vector<std::string>& args) {
   {
     Heartbeater heartbeat(&sender, spec->heartbeat_interval_ms);
     obs::StageCollector stages;
-    result = RunShardAttempt(*db, spec->base, *miner, params, &stages);
+    result = RunShardAttempt(*db, spec->base, *mining, params, &stages);
   }
 
   const FrameStats stats = StatsFrom(result);

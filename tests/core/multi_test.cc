@@ -2,13 +2,24 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
+#include <string>
+#include <tuple>
+
+#include "testing/miner_tables.h"
+#include "testing/pattern_buffers.h"
+#include "testing/table_bytes.h"
 #include "testing/test_data.h"
+#include "util/failpoint.h"
 #include "util/random.h"
 
 namespace divexp {
 namespace {
 
+using testing::BufferOf;
 using testing::MakeEncoded;
+using testing::TableBytes;
 
 constexpr Metric kAllMetrics[] = {
     Metric::kFalsePositiveRate,      Metric::kFalseNegativeRate,
@@ -36,6 +47,22 @@ RandomLabeled MakeRandomLabeled(uint64_t seed, size_t rows = 300) {
         rng.Bernoulli(0.3 + 0.1 * cells[r][0]) ? 1 : 0);
   }
   out.dataset = MakeEncoded(cells, {3, 3, 3});
+  return out;
+}
+
+/// A miner_tables.h input with seeded labels. A row whose first
+/// attribute's item id is even is never predicted positive, so every
+/// itemset holding such an item is all-⊥ under PPV and FDR.
+RandomLabeled LabelMinerTable(const testing::MinerTableSpec& spec) {
+  RandomLabeled out;
+  out.dataset = testing::MakeMinerTable(spec).dataset;
+  Rng rng(spec.seed + 1000);
+  for (size_t r = 0; r < out.dataset.num_rows; ++r) {
+    const bool never_positive = out.dataset.at(r, 0) % 2 == 0;
+    out.preds.push_back(!never_positive && rng.Bernoulli(0.6) ? 1 : 0);
+    out.truths.push_back(
+        rng.Bernoulli(out.dataset.at(r, 1) % 2 == 0 ? 0.3 : 0.6) ? 1 : 0);
+  }
   return out;
 }
 
@@ -67,58 +94,83 @@ TEST(ProjectOutcomeTest, MatchesPerInstanceDefinition) {
   }
 }
 
-TEST(MultiExplorerTest, AgreesWithSingleMetricExplorations) {
+// Every projection is the single-metric exploration, byte for byte
+// (artifact bytes: catalog, globals, items, tallies, stats, links), for
+// every metric, on every miner table, whatever miner, thread count and
+// kernel mine the two channels.
+TEST(MultiExplorerTest, ProjectionsAreByteIdenticalToSingleMetricTables) {
+  size_t all_bottom_ppv_rows = 0;
+  for (const testing::MinerTableSpec& spec : testing::MinerTableSpecs()) {
+    SCOPED_TRACE(spec.label);
+    const RandomLabeled data = LabelMinerTable(spec);
+    ExplorerOptions reference_opts;
+    reference_opts.min_support = 0.05;
+    reference_opts.kernel = fpm::KernelKind::kScalar;
+    std::vector<std::string> expected;
+    for (Metric metric : kAllMetrics) {
+      auto table = DivergenceExplorer(reference_opts)
+                       .Explore(data.dataset, data.preds, data.truths,
+                                metric);
+      ASSERT_TRUE(table.ok()) << table.status().ToString();
+      expected.push_back(TableBytes(*table));
+      if (metric == Metric::kPositivePredictiveValue) {
+        for (size_t i = 0; i < table->size(); ++i) {
+          const OutcomeCounts c = table->counts(i);
+          all_bottom_ppv_rows += c.t + c.f == 0;
+        }
+      }
+    }
+    for (MinerKind miner :
+         {MinerKind::kFpGrowth, MinerKind::kApriori, MinerKind::kEclat}) {
+      for (size_t threads : {1, 4}) {
+        for (fpm::KernelKind kernel :
+             {fpm::KernelKind::kScalar, fpm::KernelKind::kSimd}) {
+          SCOPED_TRACE(std::string(MinerKindName(miner)) + " threads " +
+                       std::to_string(threads) + " kernel " +
+                       std::to_string(static_cast<int>(kernel)));
+          ExplorerOptions opts = reference_opts;
+          opts.miner = miner;
+          opts.num_threads = threads;
+          opts.kernel = kernel;
+          auto multi = MultiExplorer(opts).Explore(data.dataset, data.preds,
+                                                   data.truths);
+          ASSERT_TRUE(multi.ok()) << multi.status().ToString();
+          for (size_t m = 0; m < std::size(kAllMetrics); ++m) {
+            auto projected = multi->Project(kAllMetrics[m]);
+            ASSERT_TRUE(projected.ok()) << projected.status().ToString();
+            EXPECT_TRUE(TableBytes(*projected) == expected[m])
+                << MetricName(kAllMetrics[m]);
+          }
+        }
+      }
+    }
+  }
+  // PPV's undefined rows are covered, not vacuously absent.
+  EXPECT_GT(all_bottom_ppv_rows, 0u);
+}
+
+TEST(MultiExplorerTest, RowsAreCanonicalAndFindLocatesEachRow) {
   const RandomLabeled data = MakeRandomLabeled(3);
   ExplorerOptions opts;
   opts.min_support = 0.03;
-  MultiExplorer multi(opts);
-  auto mtable = multi.Explore(data.dataset, data.preds, data.truths);
-  ASSERT_TRUE(mtable.ok());
-
-  DivergenceExplorer single(opts);
-  for (Metric metric : kAllMetrics) {
-    auto expected =
-        single.Explore(data.dataset, data.preds, data.truths, metric);
-    ASSERT_TRUE(expected.ok());
-    ASSERT_EQ(mtable->size(), expected->size()) << MetricName(metric);
-    for (size_t i = 0; i < expected->size(); ++i) {
-      const PatternRow& row = expected->row(i);
-      auto div = mtable->Divergence(metric, row.items);
-      ASSERT_TRUE(div.ok());
-      EXPECT_NEAR(*div, row.divergence, 1e-12)
-          << MetricName(metric) << " "
-          << expected->ItemsetName(row.items);
+  auto multi = MultiExplorer(opts).Explore(data.dataset, data.preds,
+                                           data.truths);
+  ASSERT_TRUE(multi.ok());
+  ASSERT_GT(multi->size(), 1u);
+  EXPECT_TRUE(multi->row_items(0).empty());
+  for (size_t i = 0; i < multi->size(); ++i) {
+    if (i > 0) {
+      EXPECT_TRUE(CanonicalLess(multi->row_items(i - 1),
+                                multi->row_items(i)))
+          << i;
     }
+    EXPECT_EQ(multi->Find(multi->row_items(i)), i);
   }
-}
-
-TEST(MultiExplorerTest, ProjectionYieldsIdenticalPatternTable) {
-  const RandomLabeled data = MakeRandomLabeled(7);
-  ExplorerOptions opts;
-  opts.min_support = 0.05;
-  MultiExplorer multi(opts);
-  auto mtable = multi.Explore(data.dataset, data.preds, data.truths);
-  ASSERT_TRUE(mtable.ok());
-
-  DivergenceExplorer single(opts);
-  for (Metric metric :
-       {Metric::kFalsePositiveRate, Metric::kAccuracy,
-        Metric::kFalseOmissionRate}) {
-    auto projected = mtable->Project(metric);
-    ASSERT_TRUE(projected.ok());
-    auto expected =
-        single.Explore(data.dataset, data.preds, data.truths, metric);
-    ASSERT_TRUE(expected.ok());
-    ASSERT_EQ(projected->size(), expected->size());
-    for (size_t i = 0; i < expected->size(); ++i) {
-      const PatternRow& row = expected->row(i);
-      auto j = projected->Find(row.items);
-      ASSERT_TRUE(j.has_value());
-      EXPECT_EQ(projected->row(*j).counts, row.counts);
-      EXPECT_DOUBLE_EQ(projected->row(*j).divergence, row.divergence);
-      EXPECT_DOUBLE_EQ(projected->row(*j).t, row.t);
-    }
-  }
+  // Attribute 0's three items never co-occur in one row.
+  EXPECT_FALSE(multi->Find(Itemset{0, 1}).has_value());
+  EXPECT_EQ(
+      multi->Divergence(Metric::kAccuracy, Itemset{0, 1}).status().code(),
+      StatusCode::kNotFound);
 }
 
 TEST(MultiExplorerTest, GlobalCountsMatchConfusionMatrix) {
@@ -159,9 +211,9 @@ TEST(MultiExplorerTest, AutoMinerMatchesAnExplicitMiner) {
   ASSERT_TRUE(explicit_miner.ok());
   ASSERT_EQ(chosen->size(), explicit_miner->size());
   for (size_t i = 0; i < chosen->size(); ++i) {
-    const auto j = explicit_miner->Find(chosen->row(i).items);
-    ASSERT_TRUE(j.has_value());
-    EXPECT_EQ(explicit_miner->row(*j).counts, chosen->row(i).counts);
+    EXPECT_TRUE(std::ranges::equal(chosen->row_items(i),
+                                   explicit_miner->row_items(i)));
+    EXPECT_EQ(chosen->counts(i), explicit_miner->counts(i));
   }
 }
 
@@ -181,9 +233,103 @@ TEST(MultiExplorerTest, SupportIndependentOfMetric) {
   auto mtable = multi.Explore(data.dataset, data.preds, data.truths);
   ASSERT_TRUE(mtable.ok());
   for (size_t i = 0; i < mtable->size(); ++i) {
-    const MultiPatternRow& row = mtable->row(i);
-    EXPECT_EQ(row.counts.total(),
-              data.dataset.Cover(row.items).size());
+    const ItemSpan items = mtable->row_items(i);
+    EXPECT_EQ(mtable->counts(i).total(),
+              data.dataset.Cover(Itemset(items.begin(), items.end())).size());
+  }
+}
+
+// Both channels mine with the resolved plan's thread count: at four
+// threads FP-growth fans each channel's header items out over worker
+// threads, and every worker start crosses `parallel.worker`. A
+// single-threaded mine never does, and one degraded ParallelFor call
+// per channel would cross it only twice, so the third hit fires only
+// when a channel really mined in parallel.
+TEST(MultiExplorerTest, ChannelsMineWithThePlansThreads) {
+  const RandomLabeled data = MakeRandomLabeled(29);
+  ExplorerOptions opts;
+  opts.min_support = 0.03;
+  opts.miner = MinerKind::kFpGrowth;
+  FailPointRegistry& registry = FailPointRegistry::Default();
+  for (size_t threads : {1, 4}) {
+    opts.num_threads = threads;
+    ScopedFailPoints faults("parallel.worker@3:delay-1");
+    const uint64_t before = registry.faults_injected();
+    auto multi = MultiExplorer(opts).Explore(data.dataset, data.preds,
+                                             data.truths);
+    ASSERT_TRUE(multi.ok()) << multi.status().ToString();
+    EXPECT_EQ(registry.faults_injected() - before, threads > 1 ? 1u : 0u)
+        << threads << " threads";
+  }
+}
+
+TEST(MultiPatternTableTest, ZipsChannelsIntoCanonicalConfusionRows) {
+  ItemCatalog catalog;
+  catalog.AddAttribute("a", {"x", "y"});
+  catalog.AddAttribute("b", {"x", "y"});
+  // Emission order, not canonical: (t, f, bot) are (FP, TN, positives)
+  // in the negative channel and (TP, FN, negatives) in the positive one.
+  const PatternBuffer negatives = BufferOf({
+      {{}, {4, 3, 7}},
+      {{0, 2}, {1, 1, 2}},
+      {{2}, {2, 2, 3}},
+      {{0}, {3, 1, 2}},
+  });
+  const PatternBuffer positives = BufferOf({
+      {{}, {5, 2, 7}},
+      {{0, 2}, {2, 0, 2}},
+      {{2}, {1, 2, 4}},
+      {{0}, {1, 1, 4}},
+  });
+  auto table =
+      MultiPatternTable::Create(negatives, positives, catalog, 14);
+  ASSERT_TRUE(table.ok()) << table.status().ToString();
+  ASSERT_EQ(table->size(), 4u);
+  EXPECT_EQ(table->num_dataset_rows(), 14u);
+  const Itemset canonical[] = {{}, {0}, {2}, {0, 2}};
+  const ConfusionCounts counts[] = {
+      {5, 4, 3, 2}, {1, 3, 1, 1}, {1, 2, 2, 2}, {2, 1, 1, 0}};
+  for (size_t i = 0; i < 4; ++i) {
+    EXPECT_TRUE(std::ranges::equal(table->row_items(i), canonical[i]))
+        << i;
+    EXPECT_EQ(table->counts(i), counts[i]) << i;
+    EXPECT_EQ(table->Find(canonical[i]), i);
+  }
+  EXPECT_EQ(table->global_counts(), counts[0]);
+  EXPECT_FALSE(table->Find(Itemset{1}).has_value());
+  // FPR({0}) = FP / (FP + TN) = 3 / 4; FPR(D) = 4 / 7.
+  auto div = table->Divergence(Metric::kFalsePositiveRate, Itemset{0});
+  ASSERT_TRUE(div.ok());
+  EXPECT_EQ(*div, 3.0 / 4.0 - 4.0 / 7.0);
+}
+
+TEST(MultiPatternTableTest, ChannelMismatchIsInternal) {
+  ItemCatalog catalog;
+  catalog.AddAttribute("a", {"x", "y"});
+  catalog.AddAttribute("b", {"x", "y"});
+  const PatternBuffer negatives = BufferOf({
+      {{}, {4, 3, 7}},
+      {{0}, {3, 1, 2}},
+      {{2}, {2, 2, 3}},
+  });
+  // Same size, same itemsets, but emitted in another order.
+  const PatternBuffer reordered = BufferOf({
+      {{}, {5, 2, 7}},
+      {{2}, {1, 2, 4}},
+      {{0}, {1, 1, 4}},
+  });
+  const PatternBuffer shorter = BufferOf({
+      {{}, {5, 2, 7}},
+      {{0}, {1, 1, 4}},
+  });
+  const PatternBuffer rootless = BufferOf({{{0}, {3, 1, 2}}});
+  for (const auto& [name, negative, positive] :
+       {std::tuple{"reordered", &negatives, &reordered},
+        std::tuple{"shorter", &negatives, &shorter},
+        std::tuple{"rootless", &rootless, &rootless}}) {
+    auto table = MultiPatternTable::Create(*negative, *positive, catalog, 7);
+    EXPECT_EQ(table.status().code(), StatusCode::kInternal)
+        << name << ": " << table.status().ToString();
   }
 }
 

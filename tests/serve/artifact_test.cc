@@ -575,12 +575,11 @@ TEST(ArtifactTest, FingerprintCoversEveryHashedByteButNotLinks) {
   }
 }
 
-// Version 1 artifacts carry the byte-wise FNV-1a fingerprint; this build
-// rejects them by version rather than by a fingerprint mismatch.
-TEST(ArtifactTest, VersionOneHeaderIsRejected) {
+/// Fails unless an artifact whose header claims `version` (with a
+/// matching header CRC) is refused by version at both tiers.
+void ExpectVersionRejected(uint32_t version) {
   std::string bytes = TableBytes(RandomTableForTest(6, 60));
-  const uint32_t v1 = 1;
-  std::memcpy(bytes.data() + 8, &v1, sizeof(v1));
+  std::memcpy(bytes.data() + 8, &version, sizeof(version));
   const uint32_t crc = recovery::Crc32(bytes.data(), 80);
   std::memcpy(bytes.data() + 80, &crc, sizeof(crc));
   for (const ArtifactValidation tier :
@@ -589,10 +588,24 @@ TEST(ArtifactTest, VersionOneHeaderIsRejected) {
     ASSERT_FALSE(artifact.ok());
     EXPECT_EQ(artifact.status().code(), StatusCode::kInvalidArgument);
     EXPECT_NE(artifact.status().message().find(
-                  "artifact version 1 is not supported"),
+                  "artifact version " + std::to_string(version) +
+                  " is not supported"),
               std::string::npos)
         << artifact.status().ToString();
   }
+}
+
+// Version 1 artifacts carry the byte-wise FNV-1a fingerprint; this build
+// rejects them by version rather than by a fingerprint mismatch.
+TEST(ArtifactTest, VersionOneHeaderIsRejected) { ExpectVersionRejected(1); }
+
+// Version 2 artifacts have a seventh section, link_offsets, and the
+// catalog at id 7; this build rejects them by version rather than by
+// the section table.
+TEST(ArtifactTest, VersionTwoHeaderIsRejected) {
+  EXPECT_EQ(kArtifactVersion, 3u);
+  EXPECT_EQ(kArtifactSectionCount, 6u);
+  ExpectVersionRejected(2);
 }
 
 TEST(ArtifactTest, FromBufferOwnsAnAlignedCopy) {

@@ -42,8 +42,8 @@ Fixture MakeFixture() {
   return f;
 }
 
-ShardMergeOptions LowSupport() {
-  ShardMergeOptions options;
+MinerOptions LowSupport() {
+  MinerOptions options;
   options.min_support = 0.1;
   return options;
 }
@@ -245,7 +245,7 @@ TEST(ShardMergeTest, MaxLengthFiltersLongCandidates) {
   std::vector<ShardContribution> contributions;
   contributions.push_back(ShardContribution{
       0, 11, BufferOf({Candidate({0}), Candidate({2}), Candidate({0, 2})})});
-  ShardMergeOptions options = LowSupport();
+  MinerOptions options = LowSupport();
   options.max_length = 1;
   auto result = MergeShardContributions(f.dataset, f.outcomes, plan,
                                         {11}, {true}, contributions,
@@ -262,7 +262,7 @@ TEST(ShardMergeTest, BelowThresholdCandidatesAreFilteredOut) {
   // {1,3} matches only row 5 -> support 1/6; threshold 0.5 needs 3.
   contributions.push_back(
       ShardContribution{0, 11, BufferOf({Candidate({0}), Candidate({1})})});
-  ShardMergeOptions options;
+  MinerOptions options;
   options.min_support = 0.5;
   auto result = MergeShardContributions(f.dataset, f.outcomes, plan,
                                         {11}, {true}, contributions,
@@ -287,7 +287,7 @@ TEST(ShardMergeTest, RejectsDisagreeingPlanVectors) {
 TEST(ShardMergeTest, InfrequentItemCandidateIsSkippedWithoutChange) {
   const Fixture f = MakeFixture();
   const std::vector<ShardRange> plan = MakeShardPlan(6, 1);
-  ShardMergeOptions options;
+  MinerOptions options;
   options.min_support = 0.5;  // min_count 3 of 6
   // {0} and {2} match 4 rows each; {1} matches 2, so {0,1} is bounded
   // by 2 < 3 and must be skipped without a recount.
@@ -376,7 +376,7 @@ std::vector<MinedPattern> OracleMerge(
     const RandomCase& c, const std::vector<ShardRange>& plan,
     const std::vector<bool>& include_rows,
     const std::vector<ShardContribution>& contributions,
-    const ShardMergeOptions& options) {
+    const MinerOptions& options) {
   std::set<Itemset> union_set;
   for (const ShardContribution& contribution : contributions) {
     for (const MinedPattern& p : contribution.patterns.ToPatterns()) {
@@ -492,7 +492,7 @@ TEST(ShardMergeDifferentialTest, BitmapRecountMatchesRowScanOracle) {
         }
         contributions.push_back(std::move(contribution));
       }
-      ShardMergeOptions options;
+      MinerOptions options;
       options.min_support = 0.02 + 0.3 * rng.Uniform();
       options.max_length = rng.Below(4);  // 0 = unbounded
       options.num_threads = 1 + rng.Below(3);

@@ -313,9 +313,8 @@ Status Run(const CliOptions& opts, std::ostream& out, std::ostream& log) {
     };
     out << "all metrics for the top patterns:\n";
     for (size_t i : shown) {
-      const ItemSpan row_items = table.row_items(i);
-      const Itemset items(row_items.begin(), row_items.end());
-      out << "  [" << table.ItemsetName(items) << "]\n   ";
+      const ItemSpan items = table.row_items(i);
+      out << "  [" << ItemsetName(table.catalog(), items) << "]\n   ";
       for (Metric m : kAll) {
         DIVEXP_ASSIGN_OR_RETURN(double div, mtable.Divergence(m, items));
         out << " d_" << MetricName(m) << "=" << FormatDouble(div, 3);
