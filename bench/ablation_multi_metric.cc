@@ -10,19 +10,6 @@
 using namespace divexp;
 using namespace divexp::bench;
 
-namespace {
-
-constexpr Metric kAllMetrics[] = {
-    Metric::kFalsePositiveRate,      Metric::kFalseNegativeRate,
-    Metric::kErrorRate,              Metric::kAccuracy,
-    Metric::kTruePositiveRate,       Metric::kTrueNegativeRate,
-    Metric::kPositivePredictiveValue, Metric::kFalseDiscoveryRate,
-    Metric::kFalseOmissionRate,      Metric::kNegativePredictiveValue,
-    Metric::kPositiveRate,           Metric::kPredictedPositiveRate,
-};
-
-}  // namespace
-
 int main() {
   std::printf(
       "== Ablation: multi-metric table vs 12 single-metric runs "

@@ -131,7 +131,15 @@ Result<MultiPatternTable> MultiExplorer::Explore(
 
   DIVEXP_ASSIGN_OR_RETURN(MiningSetup setup,
                           ResolveMining(dataset, options_));
-  const MinerOptions mopts = MinerOptionsFor(options_, setup.plan);
+  // One guard governs both mines, built as DivergenceExplorer builds
+  // its own. A stopped mine is an error whatever on_limit says: the
+  // channels would stop at different patterns and could not be zipped.
+  RunGuard local_guard(options_.limits);
+  RunGuard* guard = options_.guard != nullptr ? options_.guard
+                    : options_.limits.unlimited() ? nullptr
+                                                  : &local_guard;
+  MinerOptions mopts = MinerOptionsFor(options_, setup.plan);
+  mopts.guard = guard;
 
   const auto mine =
       [&](std::vector<Outcome> outcomes) -> Result<PatternBuffer> {
@@ -144,6 +152,7 @@ Result<MultiPatternTable> MultiExplorer::Explore(
                           mine(std::move(neg_view)));
   DIVEXP_ASSIGN_OR_RETURN(const PatternBuffer positives,
                           mine(std::move(pos_view)));
+  if (guard != nullptr && guard->stopped()) return guard->ToStatus();
   return MultiPatternTable::Create(negatives, positives, dataset.catalog,
                                    dataset.num_rows);
 }

@@ -89,6 +89,10 @@ class MultiPatternTable {
 /// Runs Algorithm 1 once (two complementary outcome channels, both
 /// mined with the resolved plan) and returns the multi-metric table.
 /// A dataset with no rows is InvalidArgument, as in the other explorers.
+/// Both mines run under one RunGuard, `options.guard` or else one built
+/// from `options.limits`. Once it stops, Explore returns its ToStatus()
+/// whatever `on_limit` says: truncated channels cannot be zipped, so no
+/// multi table is truncated or escalated. Checkpoints are not used.
 class MultiExplorer {
  public:
   explicit MultiExplorer(ExplorerOptions options = {})

@@ -32,7 +32,17 @@ enum class Metric {
   kPredictedPositiveRate,  ///< rate of the prediction (v ignored)
 };
 
-/// Short identifier, e.g. "FPR".
+/// Every Metric, in declaration order.
+inline constexpr Metric kAllMetrics[] = {
+    Metric::kFalsePositiveRate,      Metric::kFalseNegativeRate,
+    Metric::kErrorRate,              Metric::kAccuracy,
+    Metric::kTruePositiveRate,       Metric::kTrueNegativeRate,
+    Metric::kPositivePredictiveValue, Metric::kFalseDiscoveryRate,
+    Metric::kFalseOmissionRate,      Metric::kNegativePredictiveValue,
+    Metric::kPositiveRate,           Metric::kPredictedPositiveRate,
+};
+
+/// Short identifier, e.g. "FPR"; ParseMetric (the CLI's) inverts it.
 const char* MetricName(Metric metric);
 
 /// Applies the outcome function of `metric` to one

@@ -1,7 +1,8 @@
 #include "core/pattern.h"
 
 #include <algorithm>
-#include <bit>
+#include <ranges>
+#include <utility>
 
 #include "obs/trace.h"
 #include "stats/beta.h"
@@ -9,20 +10,6 @@
 #include "util/parallel.h"
 
 namespace divexp {
-namespace {
-
-// Fibonacci hashing: ItemsetHash mixes weakly into its low bits, so the
-// slot comes from the top bits of one multiply.
-size_t SlotOf(size_t hash, int shift) {
-  return static_cast<size_t>((static_cast<uint64_t>(hash) *
-                              0x9E3779B97F4A7C15ull) >> shift);
-}
-
-int IndexShift(size_t slots) {
-  return 64 - std::countr_zero(static_cast<uint64_t>(slots));
-}
-
-}  // namespace
 
 Result<PatternTable> PatternTable::Create(std::vector<MinedPattern> mined,
                                           ItemCatalog catalog,
@@ -89,6 +76,10 @@ Result<PatternTable> PatternTable::Create(PatternBuffer mined,
   table.offsets_[0] = 0;
   for (size_t i = 0; i < n; ++i) {
     const ItemSpan items = mined.row_items(order[i]);
+    // The order is stable, so equal itemsets are adjacent.
+    if (i > 0 && std::ranges::equal(items, table.row_items(i - 1))) {
+      return Status::InvalidArgument("duplicate itemset in mined patterns");
+    }
     std::copy(items.begin(), items.end(), table.items_.begin() + at);
     at += items.size();
     table.offsets_[i + 1] = at;
@@ -102,19 +93,15 @@ Result<PatternTable> PatternTable::Create(PatternBuffer mined,
   order_timer.AddItems(n);
   order_timer.Finish();
   order_span.End();
-  DIVEXP_RETURN_NOT_OK(table.BuildIndex());
 
-  // Post-index pass: per-row stats (Beta posterior + Welch t) and the
-  // immediate-subset lattice links. Both are pure per-row computations
-  // over the now-frozen row set, so they parallelize with results
-  // identical across thread counts.
+  // Post-index pass: per-row stats (Beta posterior + Welch t), then the
+  // immediate-subset links (LinkSubsets). Both read only the frozen
+  // columns, so the result is identical across thread counts.
   obs::StageTimer timer(options.stages, obs::kStagePostIndex);
   obs::ScopedSpan span(obs::kStagePostIndex);
   const double denom =
       num_rows == 0 ? 1.0 : static_cast<double>(num_rows);
   table.stats_.resize(kStatsPerRow * n);
-  table.subset_links_.assign(total_items, kNoLink);
-
   ParallelFor(options.num_threads, n, [&table, denom](size_t i) {
     const OutcomeCounts counts = table.counts(i);
     double* stats = table.stats_.data() + kStatsPerRow * i;
@@ -126,57 +113,67 @@ Result<PatternTable> PatternTable::Create(PatternBuffer mined,
     stats[kStatT] =
         WelchTFromPosteriors(post.mean, post.variance, table.global_mean_,
                              table.global_variance_);
-    const ItemSpan items = table.row_items(i);
-    uint32_t* links = table.subset_links_.data() + table.offsets_[i];
-    for (size_t j = 0; j < items.size(); ++j) {
-      // kNoLink stays only when a guard truncation dropped the subset.
-      const auto sub = table.Find(ItemsetSkipView{items, j});
-      if (sub.has_value()) links[j] = static_cast<uint32_t>(*sub);
-    }
   });
+  table.LinkSubsets(options.num_threads);
   timer.AddItems(n);
-  timer.SetPeakBytes(table.subset_links_.size() * sizeof(uint32_t));
+  // The links, and the two child-range columns LinkSubsets releases.
+  timer.SetPeakBytes(table.subset_links_.size() * sizeof(uint32_t) +
+                     2 * n * sizeof(uint32_t));
   return table;
 }
 
-Status PatternTable::BuildIndex() {
+void PatternTable::LinkSubsets(size_t num_threads) {
   const size_t n = size();
-  size_t slots = 2;
-  while (slots < 2 * n) slots *= 2;
-  index_.assign(slots, kNoLink);
-  const size_t mask = slots - 1;
-  const int shift = IndexShift(slots);
-  for (size_t r = 0; r < n; ++r) {
-    const ItemSpan items = row_items(r);
-    size_t s = SlotOf(ItemsetHash{}(items), shift);
-    for (; index_[s] != kNoLink; s = (s + 1) & mask) {
-      if (ItemsetEq{}(row_items(index_[s]), items)) {
-        return Status::InvalidArgument(
-            "duplicate itemset in mined patterns");
+  subset_links_.assign(items_.size(), kNoLink);
+  // The rows whose prefix (itemset minus its last item) is row q are
+  // [child_begin[q], child_end[q]), ordered by their last item.
+  std::vector<uint32_t> child_begin(n, 0);
+  std::vector<uint32_t> child_end(n, 0);
+  const auto last_item = [this](size_t r) { return row_items(r).back(); };
+  // Length groups are contiguous; row 0, the empty itemset, is group 0.
+  for (size_t prev = 0, begin = 1, end = 1; begin < n;
+       prev = std::exchange(begin, end)) {
+    const size_t len = row_items(begin).size();
+    while (end < n && row_items(end).size() == len) ++end;
+    // Last links: one merge walk of this group's prefixes, which are in
+    // lexicographic order, against the previous group (which holds no
+    // prefix if a truncation left no rows of length len - 1).
+    for (size_t k = begin, q = prev; k < end; ++k) {
+      const ItemSpan prefix = row_items(k).first(len - 1);
+      while (q < begin &&
+             std::ranges::lexicographical_compare(row_items(q), prefix)) {
+        ++q;
       }
+      if (q == begin || !std::ranges::equal(row_items(q), prefix)) continue;
+      subset_links_[offsets_[k + 1] - 1] = static_cast<uint32_t>(q);
+      if (child_end[q] == 0) child_begin[q] = static_cast<uint32_t>(k);
+      child_end[q] = static_cast<uint32_t>(k + 1);
     }
-    index_[s] = static_cast<uint32_t>(r);
+    // Link j < len - 1 of K = (a_1..a_L) is K \ {a_j}: the child of
+    // links(prefix)[j] whose last item is a_L. Without that base row (a
+    // truncated table need not be downward closed) it is looked up.
+    ParallelFor(num_threads, end - begin, [&, begin, len](size_t r) {
+      const ItemSpan items = row_items(begin + r);
+      uint32_t* links = subset_links_.data() + offsets_[begin + r];
+      for (size_t j = 0; j + 1 < len; ++j) {
+        const uint32_t base =
+            links[len - 1] == kNoLink ? kNoLink : row_links(links[len - 1])[j];
+        if (base == kNoLink) {
+          Itemset subset(items.begin(), items.end());
+          subset.erase(subset.begin() + static_cast<std::ptrdiff_t>(j));
+          links[j] = static_cast<uint32_t>(Find(subset).value_or(kNoLink));
+          continue;
+        }
+        const auto children =
+            std::views::iota(child_begin[base], child_end[base]);
+        const auto child = std::ranges::lower_bound(children, items.back(),
+                                                    {}, last_item);
+        if (child != children.end() && last_item(*child) == items.back()) {
+          links[j] = *child;
+        }
+      }
+    });
   }
-  return Status::OK();
-}
-
-template <typename Key>
-std::optional<size_t> PatternTable::Probe(const Key& key) const {
-  if (index_.empty()) return std::nullopt;
-  const size_t mask = index_.size() - 1;
-  for (size_t s = SlotOf(ItemsetHash{}(key), IndexShift(index_.size()));
-       index_[s] != kNoLink; s = (s + 1) & mask) {
-    if (ItemsetEq{}(row_items(index_[s]), key)) return index_[s];
-  }
-  return std::nullopt;
-}
-
-std::optional<size_t> PatternTable::Find(ItemSpan items) const {
-  return Probe(items);
-}
-
-std::optional<size_t> PatternTable::Find(const ItemsetSkipView& view) const {
-  return Probe(view);
 }
 
 PatternRow PatternTable::row(size_t i) const {

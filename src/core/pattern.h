@@ -9,9 +9,9 @@
 // then 3 tallies and 4 statistics per row, and the *lattice index* —
 // for each row K, the row indices of its |K| immediate subsets
 // K \ {α}, aligned with K's items so the one offsets array serves both.
-// The divergence post-pass walks these integer links instead of
-// materializing temporary itemsets and re-hashing them (see
-// docs/performance.md). No row owns a heap object.
+// The analyses walk these integer links instead of materializing
+// temporary itemsets and looking them up (see docs/performance.md). No
+// row owns a heap object.
 //
 // Rows are in *canonical order*: ascending itemset length, then
 // lexicographic items, so the empty itemset is row 0 and every subset
@@ -20,10 +20,9 @@
 // order the miner, a resume or a shard merge emitted; the row index is
 // therefore the canonical rank of a row's itemset.
 //
-// Find is a flat open-addressing hash index: a power-of-two array of
-// row ids (at least 2 slots per row), linear probing, keyed by
-// ItemsetHash and compared against the row's items in place. It copies
-// no key, so lookups stay O(1) whatever the row order.
+// The table keeps no side index: Find is CanonicalFind, a binary search
+// over that order, and the lattice links are derived from the same
+// order by one prefix walk (LinkSubsets; docs/performance.md).
 //
 // The read-side analyses (top-k here, lattice.h, shapley.h,
 // corrective.h, table_fingerprint.h) are function templates over a
@@ -76,18 +75,18 @@ struct PatternRow {
 struct PatternTableOptions {
   /// Worker threads for the per-row stat pass and the lattice-index
   /// build; 1 = sequential. Results are identical across thread counts
-  /// (both passes are pure per-row computations).
+  /// (every row's stats and links are a pure function of the rows).
   size_t num_threads = 1;
   /// Optional per-stage accounting sink: the canonical-order gather
-  /// records an obs::kStageOrder record and the index/stat pass an
+  /// records an obs::kStageOrder record and the stat/link pass an
   /// obs::kStagePostIndex record (both sub-intervals of
   /// obs::kStageDivergence).
   obs::StageCollector* stages = nullptr;
 };
 
 /// Immutable table of all frequent patterns for one (dataset, outcome
-/// function) pair, with O(1) itemset lookup and precomputed
-/// immediate-subset links.
+/// function) pair, in canonical order, with precomputed immediate-subset
+/// links.
 class PatternTable {
  public:
   /// Sentinel link for an absent immediate subset. Only possible on
@@ -129,11 +128,10 @@ class PatternTable {
   PatternRow row(size_t i) const;
 
   /// Guard charge of one row of `num_items` items: its items and links,
-  /// its offset, tallies and statistics, and two index slots.
+  /// its offset, tallies and statistics.
   static constexpr uint64_t RowBytes(size_t num_items) {
     return num_items * 2 * sizeof(uint32_t) + sizeof(uint64_t) +
-           kTalliesPerRow * sizeof(uint64_t) +
-           kStatsPerRow * sizeof(double) + 2 * sizeof(uint32_t);
+           kTalliesPerRow * sizeof(uint64_t) + kStatsPerRow * sizeof(double);
   }
 
   /// The columns, as the artifact writer copies them.
@@ -152,13 +150,11 @@ class PatternTable {
   double global_mean() const { return global_mean_; }
   double global_variance() const { return global_variance_; }
 
-  /// Index of an itemset, if frequent. No Itemset is materialized
-  /// for the query.
-  std::optional<size_t> Find(ItemSpan items) const;
-
-  /// Lookup of the immediate subset row(i).items \ {items[skip]}
-  /// without materializing it.
-  std::optional<size_t> Find(const ItemsetSkipView& view) const;
+  /// Index of an itemset, if frequent: CanonicalFind, O(log n · |q|).
+  std::optional<size_t> Find(ItemSpan items) const {
+    return CanonicalFind(size(), [this](size_t i) { return row_items(i); },
+                         items);
+  }
 
   bool Contains(const Itemset& items) const {
     return Find(items).has_value();
@@ -219,10 +215,9 @@ class PatternTable {
       const std::vector<std::pair<std::string, std::string>>& items) const;
 
  private:
-  /// Fills index_ with rows [0, size()); InvalidArgument on a duplicate.
-  Status BuildIndex();
-  template <typename Key>
-  std::optional<size_t> Probe(const Key& key) const;
+  /// Fills subset_links_ from the canonical order, one length group at
+  /// a time (each group reads only shorter ones).
+  void LinkSubsets(size_t num_threads);
 
   // The columns (core/table_columns.h); offsets_ serves items_ and
   // subset_links_ alike.
@@ -231,9 +226,6 @@ class PatternTable {
   std::vector<uint64_t> tallies_;
   std::vector<double> stats_;
   std::vector<uint32_t> subset_links_;
-  /// Open-addressing slots holding row ids, kNoLink when empty; the
-  /// size is a power of two, at least twice the row count.
-  std::vector<uint32_t> index_;
   ItemCatalog catalog_;
   size_t num_dataset_rows_ = 0;
   double global_rate_ = 0.0;

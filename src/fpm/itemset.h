@@ -17,9 +17,9 @@ namespace divexp {
 /// vector is the empty itemset (the whole dataset).
 using Itemset = std::vector<uint32_t>;
 
-/// Non-owning view of an itemset (or any sorted id sequence). Lets the
-/// pattern-table index answer subset queries without materializing an
-/// Itemset — the key enabler of the allocation-free post-pass.
+/// Non-owning view of an itemset (or any sorted id sequence). Lets a
+/// table answer subset queries without materializing an Itemset — the
+/// key enabler of the allocation-free post-pass.
 using ItemSpan = std::span<const uint32_t>;
 
 /// View of `items` with the element at position `skip` masked out:

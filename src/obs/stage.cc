@@ -6,6 +6,22 @@
 
 namespace divexp {
 namespace obs {
+namespace {
+
+// Wall time of `stages` without the sub-intervals, which their
+// enclosing stage already counts.
+double SumWallMs(const std::vector<StageStats>& stages) {
+  double total = 0.0;
+  for (const StageStats& s : stages) {
+    if (s.name != kStageOrder && s.name != kStagePostIndex &&
+        s.name != kStageShardVerify) {
+      total += s.wall_ms;
+    }
+  }
+  return total;
+}
+
+}  // namespace
 
 StageStats& StageStats::Merge(const StageStats& other) {
   wall_ms += other.wall_ms;
@@ -31,11 +47,7 @@ void StageCollector::MergeFrom(const std::vector<StageStats>& stages) {
   for (const StageStats& s : stages) Record(s);
 }
 
-double StageCollector::TotalWallMs() const {
-  double total = 0.0;
-  for (const StageStats& s : stages_) total += s.wall_ms;
-  return total;
-}
+double StageCollector::TotalWallMs() const { return SumWallMs(stages_); }
 
 void StageTimer::Finish() {
   if (finished_) return;
@@ -60,16 +72,15 @@ std::string FormatStageTable(const std::vector<StageStats>& stages) {
   out += Pad("stage", 22) + Pad("wall_ms", 12, true) +
          Pad("items", 14, true) + Pad("peak_bytes", 14, true) +
          Pad("guard_checks", 14, true) + Pad("calls", 8, true) + "\n";
-  double total_ms = 0.0;
   for (const StageStats& s : stages) {
     out += Pad(s.name, 22) + Pad(FormatDouble(s.wall_ms, 3), 12, true) +
            Pad(std::to_string(s.items), 14, true) +
            Pad(std::to_string(s.peak_bytes), 14, true) +
            Pad(std::to_string(s.guard_checks), 14, true) +
            Pad(std::to_string(s.calls), 8, true) + "\n";
-    total_ms += s.wall_ms;
   }
-  out += Pad("total", 22) + Pad(FormatDouble(total_ms, 3), 12, true) + "\n";
+  const std::string total = FormatDouble(SumWallMs(stages), 3);
+  out += Pad("total", 22) + Pad(total, 12, true) + "\n";
   return out;
 }
 

@@ -35,8 +35,9 @@ inline constexpr const char* kStageDivergence = "explore.divergence";
 /// permutation of the mined patterns into canonical order and the
 /// gather into the table's columns.
 inline constexpr const char* kStageOrder = "explore.order";
-/// Sub-interval of explore.divergence: the pattern table's lattice
-/// index build + parallel per-row stat pass (see docs/performance.md).
+/// Sub-interval of explore.divergence: the pattern table's parallel
+/// per-row stat pass and its lattice links, derived from the canonical
+/// order by a prefix walk (see docs/performance.md).
 inline constexpr const char* kStagePostIndex = "explore.post_index";
 inline constexpr const char* kStageShapley = "analysis.shapley";
 inline constexpr const char* kStageGlobal = "analysis.global";
@@ -84,7 +85,9 @@ class StageCollector {
   bool empty() const { return stages_.empty(); }
   void Reset() { stages_.clear(); }
 
-  /// Total wall-clock milliseconds across all stages.
+  /// Total wall-clock milliseconds across all stages, leaving out the
+  /// sub-intervals (explore.order, explore.post_index, shard.verify)
+  /// that their enclosing stage already counts.
   double TotalWallMs() const;
 
  private:
@@ -125,7 +128,8 @@ class StageTimer {
 };
 
 /// Fixed-width table of the collected stages for stderr (--trace and
-/// the CLI's verbose output).
+/// the CLI's verbose output). Its total is TotalWallMs's: sub-intervals
+/// are rows of their own but are not added again.
 std::string FormatStageTable(const std::vector<StageStats>& stages);
 
 }  // namespace obs

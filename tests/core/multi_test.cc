@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <iterator>
 #include <string>
+#include <thread>
 #include <tuple>
 
 #include "testing/miner_tables.h"
@@ -20,15 +22,6 @@ namespace {
 using testing::BufferOf;
 using testing::MakeEncoded;
 using testing::TableBytes;
-
-constexpr Metric kAllMetrics[] = {
-    Metric::kFalsePositiveRate,      Metric::kFalseNegativeRate,
-    Metric::kErrorRate,              Metric::kAccuracy,
-    Metric::kTruePositiveRate,       Metric::kTrueNegativeRate,
-    Metric::kPositivePredictiveValue, Metric::kFalseDiscoveryRate,
-    Metric::kFalseOmissionRate,      Metric::kNegativePredictiveValue,
-    Metric::kPositiveRate,           Metric::kPredictedPositiveRate,
-};
 
 struct RandomLabeled {
   EncodedDataset dataset;
@@ -261,6 +254,53 @@ TEST(MultiExplorerTest, ChannelsMineWithThePlansThreads) {
     EXPECT_EQ(registry.faults_injected() - before, threads > 1 ? 1u : 0u)
         << threads << " threads";
   }
+}
+
+// Both channel mines run under the run's guard, and a stop is the
+// guard's status in every on_limit mode: a truncated channel could not
+// be zipped with the other. A budget that fits changes nothing.
+TEST(MultiExplorerTest, PatternBudgetStopsTheRunInEveryMode) {
+  const RandomLabeled data = MakeRandomLabeled(31);
+  ExplorerOptions opts;
+  opts.min_support = 0.03;
+  auto ungoverned = MultiExplorer(opts).Explore(data.dataset, data.preds,
+                                                data.truths);
+  ASSERT_TRUE(ungoverned.ok());
+  for (LimitAction action : {LimitAction::kFail, LimitAction::kTruncate,
+                             LimitAction::kEscalate}) {
+    opts.on_limit = action;
+    opts.limits.max_patterns = 3;
+    auto stopped = MultiExplorer(opts).Explore(data.dataset, data.preds,
+                                               data.truths);
+    EXPECT_EQ(stopped.status().code(), StatusCode::kResourceExhausted)
+        << LimitActionName(action);
+    opts.limits.max_patterns = ungoverned->size();
+    auto fits = MultiExplorer(opts).Explore(data.dataset, data.preds,
+                                            data.truths);
+    ASSERT_TRUE(fits.ok()) << fits.status().ToString();
+    ASSERT_EQ(fits->size(), ungoverned->size());
+    for (size_t i = 0; i < fits->size(); ++i) {
+      EXPECT_EQ(fits->counts(i), ungoverned->counts(i));
+    }
+  }
+}
+
+// An external guard replaces the limits: one whose deadline has passed
+// stops the first mine at its first tick.
+TEST(MultiExplorerTest, ExternalGuardDeadlineStopsTheRun) {
+  const RandomLabeled data = MakeRandomLabeled(37);
+  RunLimits limits;
+  limits.deadline_ms = 1;
+  RunGuard guard(limits);
+  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  ExplorerOptions opts;
+  opts.min_support = 0.03;
+  opts.guard = &guard;
+  opts.on_limit = LimitAction::kTruncate;
+  auto stopped = MultiExplorer(opts).Explore(data.dataset, data.preds,
+                                             data.truths);
+  EXPECT_EQ(stopped.status().code(), StatusCode::kDeadlineExceeded);
+  EXPECT_EQ(guard.breach(), LimitBreach::kDeadline);
 }
 
 TEST(MultiPatternTableTest, ZipsChannelsIntoCanonicalConfusionRows) {

@@ -1,19 +1,25 @@
 // Differential tests for the lattice-indexed divergence post-pass: the
 // allocation-free link-walking implementations must agree with the
-// pre-index reference algorithms (temporary itemsets + hash lookups)
-// on seeded random tables across supports and thread counts, and
+// pre-index reference algorithms (temporary itemsets + lookups) on
+// seeded random tables across supports and thread counts, the links
+// and Find must match their definitions on tables with holes, and
 // guard-truncated tables must expose consistent partial links.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <map>
+#include <optional>
 #include <set>
+#include <string>
 
 #include "core/corrective.h"
 #include "core/explorer.h"
 #include "core/global_divergence.h"
 #include "core/pruning.h"
 #include "core/shapley.h"
+#include "datasets/datasets.h"
 #include "stats/special.h"
+#include "testing/miner_tables.h"
 #include "testing/test_data.h"
 #include "util/random.h"
 
@@ -343,6 +349,138 @@ TEST(PostpassDifferentialTest, SubsetLinksAreImmediateSubsets) {
     for (size_t j = 0; j < items.size(); ++j) {
       ASSERT_NE(links[j], PatternTable::kNoLink);
       EXPECT_EQ(table.row(links[j]).items, Without(items, items[j]));
+    }
+  }
+}
+
+// ---------------------------------------------------------------------
+// The links and Find against their definitions, on mined tables with
+// random non-empty rows dropped: such a table is not downward closed,
+// so links have holes and the prefix walk meets missing base rows.
+
+struct MinedCase {
+  std::string label;
+  EncodedDataset dataset;
+  std::vector<Outcome> outcomes;
+  double support;
+};
+
+// The miner_tables.h inputs and one bank-like table.
+std::vector<MinedCase> LinkCases() {
+  std::vector<MinedCase> cases;
+  for (const testing::MinerTableSpec& spec : testing::MinerTableSpecs()) {
+    testing::MinerTable t = testing::MakeMinerTable(spec);
+    cases.push_back(
+        {spec.label, std::move(t.dataset), std::move(t.outcomes), 0.02});
+  }
+  SizeOptions size;
+  size.num_rows = 1000;
+  auto bank = MakeBank(size);
+  DIVEXP_CHECK(bank.ok());
+  auto encoded = EncodeDataFrame(bank->discretized);
+  DIVEXP_CHECK(encoded.ok());
+  std::vector<Outcome> outcomes;
+  for (const int v : bank->truth) {
+    outcomes.push_back(v == 1 ? Outcome::kTrue : Outcome::kFalse);
+  }
+  cases.push_back({"bank", *std::move(encoded), std::move(outcomes), 0.1});
+  return cases;
+}
+
+PatternBuffer MineCase(const MinedCase& c) {
+  auto db = TransactionDatabase::Create(c.dataset, c.outcomes);
+  DIVEXP_CHECK(db.ok());
+  MinerOptions mopts;
+  mopts.min_support = c.support;
+  auto mined = MakeMiner(MinerKind::kFpGrowth)->MineBuffer(*db, mopts);
+  DIVEXP_CHECK(mined.ok());
+  return std::move(mined).value();
+}
+
+// `mined` without each non-empty row with probability `drop`; the
+// dropped itemsets go to `*dropped`.
+PatternBuffer DropRows(const PatternBuffer& mined, double drop, Rng& rng,
+                       std::vector<Itemset>* dropped) {
+  PatternBuffer kept;
+  for (size_t i = 0; i < mined.size(); ++i) {
+    const ItemSpan items = mined.row_items(i);
+    if (!items.empty() && rng.Uniform() < drop) {
+      dropped->emplace_back(items.begin(), items.end());
+    } else {
+      kept.Append(items, mined.counts(i));
+    }
+  }
+  return kept;
+}
+
+std::optional<size_t> ScanFind(const PatternTable& table, ItemSpan items) {
+  for (size_t i = 0; i < table.size(); ++i) {
+    if (std::ranges::equal(table.row_items(i), items)) return i;
+  }
+  return std::nullopt;
+}
+
+// Every link is the row of the materialized subset, kNoLink exactly
+// when that subset is absent; Find agrees with a linear scan for every
+// row and for each itemset of `absent`. Returns the number of holes.
+size_t ExpectLinksAndFindMatchDefinition(const PatternTable& table,
+                                         const std::vector<Itemset>& absent) {
+  std::map<Itemset, size_t> rows;
+  for (size_t i = 0; i < table.size(); ++i) {
+    const ItemSpan items = table.row_items(i);
+    rows.emplace(Itemset(items.begin(), items.end()), i);
+  }
+  size_t holes = 0;
+  for (size_t i = 0; i < table.size(); ++i) {
+    const ItemSpan items = table.row_items(i);
+    const auto links = table.row_links(i);
+    EXPECT_EQ(links.size(), items.size());
+    for (size_t j = 0; j < items.size(); ++j) {
+      Itemset subset(items.begin(), items.end());
+      subset.erase(subset.begin() + static_cast<std::ptrdiff_t>(j));
+      const auto it = rows.find(subset);
+      if (it == rows.end()) {
+        ++holes;
+        EXPECT_EQ(links[j], PatternTable::kNoLink) << "row " << i << " j " << j;
+      } else {
+        EXPECT_EQ(links[j], it->second) << "row " << i << " j " << j;
+      }
+    }
+    EXPECT_EQ(table.Find(items), ScanFind(table, items)) << "row " << i;
+    EXPECT_EQ(table.Find(items), i);
+  }
+  for (const Itemset& q : absent) {
+    EXPECT_FALSE(ScanFind(table, q).has_value());
+    EXPECT_FALSE(table.Find(q).has_value()) << ItemsetDebugString(q);
+  }
+  return holes;
+}
+
+TEST(SubsetLinksOracleTest, LinksAndFindMatchTheirDefinitions) {
+  Rng rng(2027);
+  for (const MinedCase& c : LinkCases()) {
+    SCOPED_TRACE(c.label);
+    const PatternBuffer mined = MineCase(c);
+    for (const double drop : {0.0, 1.0 / 7, 1.0 / 3}) {
+      SCOPED_TRACE("drop " + std::to_string(drop));
+      std::vector<Itemset> dropped;
+      const PatternBuffer kept = DropRows(mined, drop, rng, &dropped);
+      for (const size_t threads : {size_t{1}, size_t{4}}) {
+        SCOPED_TRACE("threads " + std::to_string(threads));
+        PatternTableOptions topts;
+        topts.num_threads = threads;
+        auto table = PatternTable::Create(kept, c.dataset.catalog,
+                                          c.dataset.num_rows, nullptr, topts);
+        ASSERT_TRUE(table.ok()) << table.status().ToString();
+        ASSERT_EQ(table->size(), kept.size());
+        const size_t holes = ExpectLinksAndFindMatchDefinition(*table, dropped);
+        if (drop == 0.0) {
+          EXPECT_EQ(holes, 0u);
+        } else {
+          EXPECT_FALSE(dropped.empty());
+          EXPECT_GT(holes, 0u);
+        }
+      }
     }
   }
 }

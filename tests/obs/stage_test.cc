@@ -109,6 +109,26 @@ TEST(FormatStageTableTest, ContainsEveryStageRow) {
   EXPECT_NE(table.find("1000"), std::string::npos);
 }
 
+// The sub-intervals (explore.order and explore.post_index inside
+// explore.divergence, shard.verify inside shard.merge) get rows but
+// are not added to the total a second time.
+TEST(FormatStageTableTest, TotalLeavesOutSubIntervals) {
+  StageCollector c;
+  c.Record(Make(kStageCsvLoad, 1.0, 0, 0, 0));
+  c.Record(Make(kStageDivergence, 10.0, 0, 0, 0));
+  c.Record(Make(kStageOrder, 3.0, 0, 0, 0));
+  c.Record(Make(kStagePostIndex, 4.0, 0, 0, 0));
+  c.Record(Make(kStageShardMerge, 20.0, 0, 0, 0));
+  c.Record(Make(kStageShardVerify, 15.0, 0, 0, 0));
+  EXPECT_DOUBLE_EQ(c.TotalWallMs(), 31.0);
+  const std::string table = FormatStageTable(c.stages());
+  EXPECT_NE(table.find(kStagePostIndex), std::string::npos);
+  EXPECT_NE(table.find(kStageShardVerify), std::string::npos);
+  const size_t total = table.find("total");
+  ASSERT_NE(total, std::string::npos);
+  EXPECT_NE(table.find("31.000", total), std::string::npos) << table;
+}
+
 }  // namespace
 }  // namespace obs
 }  // namespace divexp

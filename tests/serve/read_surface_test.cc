@@ -2,9 +2,9 @@
 // random tables, every read-surface accessor of the in-memory
 // PatternTable must equal the same accessor of the TableView over the
 // artifact written from it, row by row and bit for bit. PatternTable's
-// hash index must find every row — by itemset and by immediate-subset
-// view — and miss itemsets that are not rows. Create must put any
-// input order into canonical order, also when a guard truncates it.
+// binary search must find every row, and every immediate subset at its
+// lattice link, and miss itemsets that are not rows. Create must put
+// any input order into canonical order, also when a guard truncates it.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -40,9 +40,8 @@ Itemset RandomItemset(Rng& rng, uint32_t num_items) {
   return MakeItemset(std::move(ids));
 }
 
-// Every row found by its itemset and by each immediate-subset view
-// (which must agree with the materialized subset and the lattice link),
-// and random non-members missed.
+// Every row found by its itemset, each immediate subset found at the
+// row's lattice link, and random non-members missed.
 void ExpectFindHitsRowsAndMissesOthers(const PatternTable& table,
                                        uint64_t seed) {
   std::set<Itemset> members;
@@ -54,10 +53,9 @@ void ExpectFindHitsRowsAndMissesOthers(const PatternTable& table,
     for (size_t j = 0; j < items.size(); ++j) {
       Itemset subset(items.begin(), items.end());
       subset.erase(subset.begin() + static_cast<std::ptrdiff_t>(j));
-      const auto by_view = table.Find(ItemsetSkipView{items, j});
-      EXPECT_EQ(by_view, table.Find(subset)) << "row " << i << " skip " << j;
-      ASSERT_TRUE(by_view.has_value()) << "complete tables hold subsets";
-      EXPECT_EQ(*by_view, links[j]) << "row " << i << " skip " << j;
+      const auto found = table.Find(subset);
+      ASSERT_TRUE(found.has_value()) << "complete tables hold subsets";
+      EXPECT_EQ(*found, links[j]) << "row " << i << " skip " << j;
     }
   }
   ASSERT_EQ(members.size(), table.size());
@@ -69,16 +67,6 @@ void ExpectFindHitsRowsAndMissesOthers(const PatternTable& table,
     ++misses;
     EXPECT_FALSE(table.Find(ItemSpan(query)).has_value())
         << ItemsetDebugString(query);
-    if (!query.empty()) {
-      // A skip view over a non-member's one-item extension is the
-      // non-member itself.
-      Itemset wider = query;
-      const uint32_t extra = table.catalog().num_items();
-      wider.push_back(extra);
-      EXPECT_FALSE(
-          table.Find(ItemsetSkipView{ItemSpan(wider), wider.size() - 1})
-              .has_value());
-    }
   }
   EXPECT_GT(misses, 100u);
 }
@@ -150,7 +138,7 @@ TEST(ReadSurfaceTest, TableViewEqualsPatternTableRowByRow) {
 
 // Create puts any input order into canonical order: a superset-first,
 // half-shuffled input and a fully shuffled one give the canonical
-// table's bytes, and the hash index finds every row.
+// table's bytes, and Find finds every row.
 TEST(ReadSurfaceTest, CreateCanonicalizesAnyRowOrder) {
   for (uint64_t seed : {90u, 91u, 92u}) {
     SCOPED_TRACE("seed " + std::to_string(seed));

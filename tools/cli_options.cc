@@ -32,22 +32,8 @@ Result<long> ParseInt(const std::string& flag, const std::string& value) {
 }  // namespace
 
 Result<Metric> ParseMetric(const std::string& name) {
-  static const std::pair<const char*, Metric> kNames[] = {
-      {"FPR", Metric::kFalsePositiveRate},
-      {"FNR", Metric::kFalseNegativeRate},
-      {"ER", Metric::kErrorRate},
-      {"ACC", Metric::kAccuracy},
-      {"TPR", Metric::kTruePositiveRate},
-      {"TNR", Metric::kTrueNegativeRate},
-      {"PPV", Metric::kPositivePredictiveValue},
-      {"FDR", Metric::kFalseDiscoveryRate},
-      {"FOR", Metric::kFalseOmissionRate},
-      {"NPV", Metric::kNegativePredictiveValue},
-      {"POS", Metric::kPositiveRate},
-      {"PPOS", Metric::kPredictedPositiveRate},
-  };
-  for (const auto& [label, metric] : kNames) {
-    if (name == label) return metric;
+  for (const Metric metric : kAllMetrics) {
+    if (name == MetricName(metric)) return metric;
   }
   return Status::InvalidArgument(
       "unknown metric '" + name +

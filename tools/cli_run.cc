@@ -300,22 +300,17 @@ Status Run(const CliOptions& opts, std::ostream& out, std::ostream& log) {
   }
 
   if (opts.multi) {
-    MultiExplorer multi(eopts);
+    // At the run's settled support: MultiExplorer never escalates.
+    ExplorerOptions multi_opts = eopts;
+    multi_opts.min_support = stats.effective_min_support;
+    MultiExplorer multi(multi_opts);
     DIVEXP_ASSIGN_OR_RETURN(MultiPatternTable mtable,
                             multi.Explore(encoded, preds, truths));
-    static constexpr Metric kAll[] = {
-        Metric::kFalsePositiveRate,      Metric::kFalseNegativeRate,
-        Metric::kErrorRate,              Metric::kAccuracy,
-        Metric::kTruePositiveRate,       Metric::kTrueNegativeRate,
-        Metric::kPositivePredictiveValue, Metric::kFalseDiscoveryRate,
-        Metric::kFalseOmissionRate,      Metric::kNegativePredictiveValue,
-        Metric::kPositiveRate,           Metric::kPredictedPositiveRate,
-    };
     out << "all metrics for the top patterns:\n";
     for (size_t i : shown) {
       const ItemSpan items = table.row_items(i);
       out << "  [" << ItemsetName(table.catalog(), items) << "]\n   ";
-      for (Metric m : kAll) {
+      for (Metric m : kAllMetrics) {
         DIVEXP_ASSIGN_OR_RETURN(double div, mtable.Divergence(m, items));
         out << " d_" << MetricName(m) << "=" << FormatDouble(div, 3);
       }
