@@ -131,7 +131,7 @@ int main(int argc, char** argv) {
               dataset.c_str(), FormatDouble(support, 3).c_str(),
               static_cast<unsigned long long>(patterns), threads, repeat);
 
-  // Table build (includes the lattice-index + stat pass), sequential
+  // Table build (includes the lattice-index pass), sequential
   // and parallel. Each repetition consumes a fresh copy of the mined
   // patterns, as PatternTable::Create does in production.
   PatternTable table;

@@ -94,26 +94,10 @@ Result<PatternTable> PatternTable::Create(PatternBuffer mined,
   order_timer.Finish();
   order_span.End();
 
-  // Post-index pass: per-row stats (Beta posterior + Welch t), then the
-  // immediate-subset links (LinkSubsets). Both read only the frozen
-  // columns, so the result is identical across thread counts.
+  // Post-index pass: the immediate-subset links (LinkSubsets), read
+  // only from the frozen columns, so identical across thread counts.
   obs::StageTimer timer(options.stages, obs::kStagePostIndex);
   obs::ScopedSpan span(obs::kStagePostIndex);
-  const double denom =
-      num_rows == 0 ? 1.0 : static_cast<double>(num_rows);
-  table.stats_.resize(kStatsPerRow * n);
-  ParallelFor(options.num_threads, n, [&table, denom](size_t i) {
-    const OutcomeCounts counts = table.counts(i);
-    double* stats = table.stats_.data() + kStatsPerRow * i;
-    const double rate = counts.PositiveRate();
-    stats[kStatSupport] = static_cast<double>(counts.total()) / denom;
-    stats[kStatRate] = rate;
-    stats[kStatDivergence] = rate - table.global_rate_;
-    const BetaPosterior post = BetaPosteriorFromCounts(counts.t, counts.f);
-    stats[kStatT] =
-        WelchTFromPosteriors(post.mean, post.variance, table.global_mean_,
-                             table.global_variance_);
-  });
   table.LinkSubsets(options.num_threads);
   timer.AddItems(n);
   // The links, and the two child-range columns LinkSubsets releases.
@@ -174,6 +158,13 @@ void PatternTable::LinkSubsets(size_t num_threads) {
       }
     });
   }
+}
+
+double PatternTable::t(size_t i) const {
+  const OutcomeCounts c = counts(i);
+  const BetaPosterior post = BetaPosteriorFromCounts(c.t, c.f);
+  return WelchTFromPosteriors(post.mean, post.variance, global_mean_,
+                              global_variance_);
 }
 
 PatternRow PatternTable::row(size_t i) const {

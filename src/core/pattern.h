@@ -6,12 +6,14 @@
 //
 // Storage is columnar, in the artifact's own layout
 // (core/table_columns.h): one flat items buffer and one offsets array,
-// then 3 tallies and 4 statistics per row, and the *lattice index* —
+// then the 3 tallies (T, F, ⊥) per row, and the *lattice index* —
 // for each row K, the row indices of its |K| immediate subsets
 // K \ {α}, aligned with K's items so the one offsets array serves both.
 // The analyses walk these integer links instead of materializing
 // temporary itemsets and looking them up (see docs/performance.md). No
 // row owns a heap object.
+// Support, rate, divergence and t are derived from the tallies on each
+// call, so they cannot drift from the counts.
 //
 // Rows are in *canonical order*: ascending itemset length, then
 // lexicographic items, so the empty itemset is row 0 and every subset
@@ -71,14 +73,14 @@ struct PatternRow {
   double t = 0.0;           ///< Welch t vs the dataset (paper §3.3)
 };
 
-/// Construction knobs for the divergence/significance post-pass.
+/// Construction knobs for the table's post-pass.
 struct PatternTableOptions {
-  /// Worker threads for the per-row stat pass and the lattice-index
-  /// build; 1 = sequential. Results are identical across thread counts
-  /// (every row's stats and links are a pure function of the rows).
+  /// Worker threads for the lattice-index build; 1 = sequential.
+  /// Results are identical across thread counts (every row's links are
+  /// a pure function of the rows).
   size_t num_threads = 1;
   /// Optional per-stage accounting sink: the canonical-order gather
-  /// records an obs::kStageOrder record and the stat/link pass an
+  /// records an obs::kStageOrder record and the link pass an
   /// obs::kStagePostIndex record (both sub-intervals of
   /// obs::kStageDivergence).
   obs::StageCollector* stages = nullptr;
@@ -128,15 +130,15 @@ class PatternTable {
   PatternRow row(size_t i) const;
 
   /// Guard charge of one row of `num_items` items: its items and links,
-  /// its offset, tallies and statistics.
+  /// its offset and tallies.
   static constexpr uint64_t RowBytes(size_t num_items) {
     return num_items * 2 * sizeof(uint32_t) + sizeof(uint64_t) +
-           kTalliesPerRow * sizeof(uint64_t) + kStatsPerRow * sizeof(double);
+           kTalliesPerRow * sizeof(uint64_t);
   }
 
-  /// The columns, as the artifact writer copies them.
+  /// The counted columns, as the artifact writer copies them.
   TableColumns columns() const {
-    return TableColumns{items_, offsets_, tallies_, stats_, subset_links_};
+    return TableColumns{items_, offsets_, tallies_, subset_links_};
   }
 
   const ItemCatalog& catalog() const { return catalog_; }
@@ -177,10 +179,13 @@ class PatternTable {
         .subspan(offsets_[i], offsets_[i + 1] - offsets_[i]);
   }
   OutcomeCounts counts(size_t i) const { return columns().counts(i); }
-  double support(size_t i) const { return columns().support(i); }
-  double rate(size_t i) const { return columns().rate(i); }
-  double divergence(size_t i) const { return columns().divergence(i); }
-  double t(size_t i) const { return columns().t(i); }
+  double support(size_t i) const {
+    const double rows = num_dataset_rows_ == 0 ? 1.0 : num_dataset_rows_;
+    return static_cast<double>(counts(i).total()) / rows;
+  }
+  double rate(size_t i) const { return counts(i).PositiveRate(); }
+  double divergence(size_t i) const { return rate(i) - global_rate_; }
+  double t(size_t i) const;  ///< Welch t vs the dataset (paper §3.3)
   /// An in-memory table is consistent by construction.
   bool row_ok(size_t) const { return true; }
 
@@ -224,7 +229,6 @@ class PatternTable {
   std::vector<uint32_t> items_;
   std::vector<uint64_t> offsets_;
   std::vector<uint64_t> tallies_;
-  std::vector<double> stats_;
   std::vector<uint32_t> subset_links_;
   ItemCatalog catalog_;
   size_t num_dataset_rows_ = 0;

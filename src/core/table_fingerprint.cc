@@ -137,7 +137,6 @@ uint64_t TableFingerprint(const TableColumns& columns,
   hasher.Column(columns.items);
   hasher.Column(columns.item_offsets);
   hasher.Column(columns.tallies);
-  hasher.Column(columns.stats);
   return hasher.Finish();
 }
 

@@ -1,13 +1,13 @@
 // Logical-content fingerprint of a pattern table. The catalog, the
 // dataset row count and the global statistics are hashed first (FNV-1a;
 // they are small), and that value seeds four independent 64-bit lanes.
-// Then the items, item_offsets, tallies and stats columns
-// (core/table_columns.h) are hashed 8 bytes at a time, each column as
+// Then the counted columns, items, item_offsets and tallies
+// (core/table_columns.h), are hashed 8 bytes at a time, each column as
 // its byte length followed by its bytes, words dealt round-robin to the
 // lanes; a column's last partial word is zero-padded. The lanes are
 // folded and the result avalanched. Every step is injective in the
 // word it takes, so one changed byte in a hashed column always changes
-// the fingerprint. Subset links are derived state and excluded.
+// the fingerprint. Derived state (links, an artifact's stats) is not hashed.
 //
 // The serving artifact stamps the fingerprint in its header and keys
 // its result cache under it, so the in-memory table it was written

@@ -35,14 +35,16 @@ inline constexpr const char* kStageDivergence = "explore.divergence";
 /// permutation of the mined patterns into canonical order and the
 /// gather into the table's columns.
 inline constexpr const char* kStageOrder = "explore.order";
-/// Sub-interval of explore.divergence: the pattern table's parallel
-/// per-row stat pass and its lattice links, derived from the canonical
-/// order by a prefix walk (see docs/performance.md).
+/// Sub-interval of explore.divergence: the pattern table's lattice
+/// links, derived from the canonical order by a prefix walk (see
+/// docs/performance.md).
 inline constexpr const char* kStagePostIndex = "explore.post_index";
 inline constexpr const char* kStageShapley = "analysis.shapley";
 inline constexpr const char* kStageGlobal = "analysis.global";
 inline constexpr const char* kStageCorrective = "analysis.corrective";
 inline constexpr const char* kStagePrune = "analysis.prune";
+inline constexpr const char* kStageRank = "analysis.rank";
+inline constexpr const char* kStageArtifactWrite = "artifact.write";
 inline constexpr const char* kStageSliceFinder = "slicefinder.search";
 /// Sharded exploration (src/shard): per-shard mining attempts, the
 /// SON phase-2 candidate recount, and the final table merge.

@@ -40,17 +40,13 @@ void PatchF64(std::string* out, size_t offset, double v) {
   std::memcpy(out->data() + offset, &v, sizeof(v));
 }
 
-/// The writer-side contract is canonical order, which makes the view's
-/// binary search correct and puts the empty itemset at row 0.
-/// PatternTable::Create establishes it for every table it builds; only
-/// a default-constructed table has no rows.
-Status CheckNotEmpty(const PatternTable& table) {
-  if (table.size() == 0) {
-    return Status::InvalidArgument(
-        "pattern table is empty; even a trivial table carries the "
-        "empty itemset");
+/// Appends the stats section, derived from the table's tallies.
+void AppendStats(const PatternTable& table, std::string* out) {
+  for (size_t i = 0; i < table.size(); ++i) {
+    const RowStats row{table.support(i), table.rate(i), table.divergence(i),
+                       table.t(i)};
+    AppendRaw(out, &row, sizeof(row));
   }
-  return Status::OK();
 }
 
 /// Catalog section payload: per attribute (in id order) its name and
@@ -98,6 +94,13 @@ Result<ItemCatalog> ParseCatalog(std::string_view payload) {
   return catalog;
 }
 
+/// The payload of `sec` in the artifact at `base`, as `count` T values.
+template <typename T>
+std::span<const T> SectionSpan(const uint8_t* base,
+                               const ArtifactSectionInfo& sec, size_t count) {
+  return {reinterpret_cast<const T*>(base + sec.offset), count};
+}
+
 Status SectionError(ArtifactSection id, const std::string& what) {
   return Status::InvalidArgument("artifact section '" +
                                  std::string(ArtifactSectionName(id)) +
@@ -132,7 +135,15 @@ uint64_t TableFingerprint(const PatternTable& table) {
 }
 
 Result<std::string> SerializePatternTableArtifact(const PatternTable& table) {
-  DIVEXP_RETURN_NOT_OK(CheckNotEmpty(table));
+  // The writer-side contract is canonical order, which makes the view's
+  // binary search correct and puts the empty itemset at row 0.
+  // PatternTable::Create establishes it for every table it builds; only
+  // a default-constructed table has no rows.
+  if (table.size() == 0) {
+    return Status::InvalidArgument(
+        "pattern table is empty; even a trivial table carries the "
+        "empty itemset");
+  }
   const size_t n = table.size();
 
   const TableColumns columns = table.columns();
@@ -140,11 +151,10 @@ Result<std::string> SerializePatternTableArtifact(const PatternTable& table) {
 
   struct SectionPayload {
     ArtifactSection id;
-    const void* data;
+    const void* data;  ///< null for the stats, which AppendStats derives
     size_t size;
   };
-  // The table already stores the artifact's columns: each section is
-  // one contiguous copy.
+  // The table stores the counted columns in the artifact's layout.
   const SectionPayload sections[kArtifactSectionCount] = {
       {ArtifactSection::kItems, columns.items.data(),
        columns.items.size_bytes()},
@@ -152,8 +162,7 @@ Result<std::string> SerializePatternTableArtifact(const PatternTable& table) {
        columns.item_offsets.size_bytes()},
       {ArtifactSection::kTallies, columns.tallies.data(),
        columns.tallies.size_bytes()},
-      {ArtifactSection::kStats, columns.stats.data(),
-       columns.stats.size_bytes()},
+      {ArtifactSection::kStats, nullptr, n * sizeof(RowStats)},
       {ArtifactSection::kSubsetLinks, columns.subset_links.data(),
        columns.subset_links.size_bytes()},
       {ArtifactSection::kCatalog, catalog_blob.data(),
@@ -172,14 +181,19 @@ Result<std::string> SerializePatternTableArtifact(const PatternTable& table) {
              '\0');
   for (size_t s = 0; s < kArtifactSectionCount; ++s) {
     out.resize(AlignUp(out.size()), '\0');
+    const size_t offset = out.size();
+    if (sections[s].id == ArtifactSection::kStats) {
+      AppendStats(table, &out);
+    } else {
+      AppendRaw(&out, sections[s].data, sections[s].size);
+    }
     const size_t entry =
         kArtifactHeaderSize + s * kArtifactSectionEntrySize;
     PatchU32(&out, entry, static_cast<uint32_t>(sections[s].id));
-    PatchU64(&out, entry + 8, out.size());
+    PatchU64(&out, entry + 8, offset);
     PatchU64(&out, entry + 16, sections[s].size);
     PatchU32(&out, entry + 24,
-             recovery::Crc32(sections[s].data, sections[s].size));
-    AppendRaw(&out, sections[s].data, sections[s].size);
+             recovery::Crc32(out.data() + offset, sections[s].size));
   }
 
   PatchU64(&out, 0, kArtifactMagic);
@@ -347,17 +361,12 @@ Status PatternTableArtifact::Attach(ArtifactValidation validation) {
     return SectionError(sec_items.id, "size is not a multiple of 4");
   }
   const uint64_t total_items = sec_items.size / 4;
-  if (sec_ioff.size != (n + 1) * 8) {
-    return SectionError(sec_ioff.id,
-                        "size disagrees with the header row count");
-  }
-  if (sec_tallies.size != n * 24) {
-    return SectionError(sec_tallies.id,
-                        "size disagrees with the header row count");
-  }
-  if (sec_stats.size != n * 32) {
-    return SectionError(sec_stats.id,
-                        "size disagrees with the header row count");
+  for (const auto& [sec, bytes] :
+       {std::pair{&sec_ioff, (n + 1) * 8}, std::pair{&sec_tallies, n * 24},
+        std::pair{&sec_stats, n * sizeof(RowStats)}}) {
+    if (sec->size != bytes) {
+      return SectionError(sec->id, "size disagrees with the header row count");
+    }
   }
   if (sec_links.size != sec_items.size) {
     return SectionError(sec_links.id,
@@ -365,19 +374,11 @@ Status PatternTableArtifact::Attach(ArtifactValidation validation) {
   }
 
   view_ = TableView{};
-  view_.items = std::span<const uint32_t>(
-      reinterpret_cast<const uint32_t*>(base_ + sec_items.offset),
-      total_items);
-  view_.item_offsets = std::span<const uint64_t>(
-      reinterpret_cast<const uint64_t*>(base_ + sec_ioff.offset), n + 1);
-  view_.tallies = std::span<const uint64_t>(
-      reinterpret_cast<const uint64_t*>(base_ + sec_tallies.offset),
-      3 * n);
-  view_.stats = std::span<const double>(
-      reinterpret_cast<const double*>(base_ + sec_stats.offset), 4 * n);
-  view_.subset_links = std::span<const uint32_t>(
-      reinterpret_cast<const uint32_t*>(base_ + sec_links.offset),
-      total_items);
+  view_.items = SectionSpan<uint32_t>(base_, sec_items, total_items);
+  view_.item_offsets = SectionSpan<uint64_t>(base_, sec_ioff, n + 1);
+  view_.tallies = SectionSpan<uint64_t>(base_, sec_tallies, 3 * n);
+  view_.stats = SectionSpan<RowStats>(base_, sec_stats, n);
+  view_.subset_links = SectionSpan<uint32_t>(base_, sec_links, total_items);
 
   // Endpoint checks are O(1); interior offset entries are only proven
   // monotone in the full tier. A header-tier open therefore hands out a

@@ -1,4 +1,4 @@
-// Zero-copy pattern-table artifact (format v3).
+// Zero-copy pattern-table artifact (format v4).
 //
 // The artifact is the one binary format of a pattern table (CSV in
 // core/table_io.h is the human export): a relocatable, offset-based
@@ -16,10 +16,8 @@
 //   8       4     version        kArtifactVersion
 //   12      4     endian_tag     kArtifactEndianTag (0x01020304)
 //   16      8     file_size      total bytes, must equal the file
-//   24      8     fingerprint    TableFingerprint of the logical table
-//                                (the word-wise hash since v2; v1
-//                                files, whose fingerprint was byte-wise
-//                                FNV-1a, fail the version check)
+//   24      8     fingerprint    TableFingerprint of the counted
+//                                columns (core/table_fingerprint.h)
 //   32      8     num_rows
 //   40      8     num_dataset_rows
 //   48      8     global_rate    f(D)
@@ -41,7 +39,8 @@
 //                                      delimited by item_offsets
 //   6 catalog       ByteWriter blob: per attribute, name + value labels
 //
-// v3 dropped v2's link_offsets section, a copy of item_offsets.
+// Older versions fail the version check. v4's fingerprint leaves out
+// the derived stats (v3's hashed them); v3 dropped v2's link_offsets.
 //
 // Rows are stored in canonical order (length, then lexicographic items
 // — the order PatternTable::Create establishes), so lookup is a binary
@@ -75,7 +74,7 @@ namespace divexp {
 namespace serve {
 
 inline constexpr uint64_t kArtifactMagic = 0x4C42545058455644ull;
-inline constexpr uint32_t kArtifactVersion = 3;
+inline constexpr uint32_t kArtifactVersion = 4;
 inline constexpr uint32_t kArtifactEndianTag = 0x01020304u;
 inline constexpr size_t kArtifactHeaderSize = 88;
 inline constexpr size_t kArtifactSectionCount = 6;

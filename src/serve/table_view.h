@@ -11,7 +11,8 @@
 //
 // A TableView provides the table read surface of core/pattern.h under
 // the same names as PatternTable, so the core analyses (top-k, lattice,
-// Shapley, corrective, fingerprint) run on it directly.
+// Shapley, corrective, fingerprint) run on it directly. Its stats are
+// the artifact's stored stats section, not derived per call.
 #ifndef DIVEXP_SERVE_TABLE_VIEW_H_
 #define DIVEXP_SERVE_TABLE_VIEW_H_
 
@@ -27,12 +28,18 @@
 namespace divexp {
 namespace serve {
 
+/// One row of the artifact's stats section.
+struct RowStats {
+  double support, rate, divergence, t;
+};
+static_assert(sizeof(RowStats) == 4 * sizeof(double));
+
 /// Non-owning columnar pattern table: the columns of
-/// core/table_columns.h as spans into the artifact, whose accessors
-/// (counts, support, rate, divergence, t) it inherits. All spans must
-/// stay valid for the lifetime of the view (the owning artifact
-/// guarantees this).
+/// core/table_columns.h and the stats section as spans into the
+/// artifact. All spans must stay valid for the lifetime of the view
+/// (the owning artifact guarantees this).
 struct TableView : TableColumns {
+  std::span<const RowStats> stats;
   const ItemCatalog* catalog = nullptr;
   uint64_t num_dataset_rows = 0;
   double global_rate = 0.0;
@@ -41,6 +48,11 @@ struct TableView : TableColumns {
   /// Logical-content fingerprint (core/table_fingerprint.h); the cache
   /// keys results under it so two artifacts of the same table share hits.
   uint64_t fingerprint = 0;
+
+  double support(size_t i) const { return stats[i].support; }
+  double rate(size_t i) const { return stats[i].rate; }
+  double divergence(size_t i) const { return stats[i].divergence; }
+  double t(size_t i) const { return stats[i].t; }
 
   // The row-span accessors clamp both offsets into the backing column:
   // a header-tier artifact open defers the payload CRCs, so a corrupted

@@ -2,11 +2,14 @@
 // allocation-free link-walking implementations must agree with the
 // pre-index reference algorithms (temporary itemsets + lookups) on
 // seeded random tables across supports and thread counts, the links
-// and Find must match their definitions on tables with holes, and
-// guard-truncated tables must expose consistent partial links.
+// and Find must match their definitions on tables with holes, the
+// derived stats must match theirs bit for bit, and guard-truncated
+// tables must expose consistent partial links.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstring>
 #include <map>
 #include <optional>
 #include <set>
@@ -15,11 +18,16 @@
 #include "core/corrective.h"
 #include "core/explorer.h"
 #include "core/global_divergence.h"
+#include "core/outcome.h"
 #include "core/pruning.h"
 #include "core/shapley.h"
 #include "datasets/datasets.h"
+#include "serve/artifact.h"
+#include "stats/beta.h"
 #include "stats/special.h"
+#include "stats/welch.h"
 #include "testing/miner_tables.h"
+#include "testing/table_bytes.h"
 #include "testing/test_data.h"
 #include "util/random.h"
 
@@ -483,6 +491,121 @@ TEST(SubsetLinksOracleTest, LinksAndFindMatchTheirDefinitions) {
       }
     }
   }
+}
+
+// ---------------------------------------------------------------------
+// The derived stats against their definitions over the tallies, bit for
+// bit, on the same inputs under FPR and under PPV (whose itemsets with
+// no predicted positive are all ⊥), and the served stats section
+// against the in-memory accessors.
+
+uint64_t Bits(double v) { return std::bit_cast<uint64_t>(v); }
+
+// Every accessor of every row equals its formula over the row's tallies
+// and the table's globals. Returns the number of all-⊥ rows.
+size_t ExpectStatsMatchDefinition(const PatternTable& table) {
+  const OutcomeCounts root = table.counts(0);
+  const BetaPosterior global = BetaPosteriorFromCounts(root.t, root.f);
+  EXPECT_EQ(Bits(table.global_mean()), Bits(global.mean));
+  EXPECT_EQ(Bits(table.global_variance()), Bits(global.variance));
+  EXPECT_EQ(Bits(table.global_rate()), Bits(table.rate(0)));
+  size_t all_bottom = 0;
+  for (size_t i = 0; i < table.size(); ++i) {
+    const OutcomeCounts c = table.counts(i);
+    if (c.t + c.f == 0) ++all_bottom;
+    const double support = static_cast<double>(c.total()) /
+                           static_cast<double>(table.num_dataset_rows());
+    const double rate =
+        c.t + c.f == 0
+            ? 0.0
+            : static_cast<double>(c.t) / static_cast<double>(c.t + c.f);
+    const BetaPosterior post = BetaPosteriorFromCounts(c.t, c.f);
+    const double t = WelchTFromPosteriors(post.mean, post.variance,
+                                          global.mean, global.variance);
+    EXPECT_EQ(Bits(table.support(i)), Bits(support)) << "row " << i;
+    EXPECT_EQ(Bits(table.rate(i)), Bits(rate)) << "row " << i;
+    EXPECT_EQ(Bits(table.divergence(i)), Bits(rate - table.global_rate()))
+        << "row " << i;
+    EXPECT_EQ(Bits(table.t(i)), Bits(t)) << "row " << i;
+    const PatternRow row = table.row(i);
+    EXPECT_EQ(Bits(row.support), Bits(support)) << "row " << i;
+    EXPECT_EQ(Bits(row.t), Bits(t)) << "row " << i;
+  }
+  return all_bottom;
+}
+
+// The artifact's stats section holds exactly the accessors' values.
+void ExpectServedStatsMatchTable(const PatternTable& table) {
+  std::vector<double> want;
+  for (size_t i = 0; i < table.size(); ++i) {
+    want.insert(want.end(), {table.support(i), table.rate(i),
+                             table.divergence(i), table.t(i)});
+  }
+  auto artifact = serve::PatternTableArtifact::FromBuffer(
+      testing::TableBytes(table), serve::ArtifactValidation::kFull);
+  ASSERT_TRUE(artifact.ok()) << artifact.status().ToString();
+  const std::span<const serve::RowStats> stats = (*artifact)->view().stats;
+  ASSERT_EQ(stats.size_bytes(), want.size() * sizeof(double));
+  EXPECT_EQ(std::memcmp(stats.data(), want.data(), stats.size_bytes()), 0);
+}
+
+// `c` with its outcomes replaced by `metric`'s over seeded predictions
+// that agree with the case's T outcomes more often than not.
+MinedCase UnderMetric(const MinedCase& c, Metric metric) {
+  Rng rng(4099);
+  std::vector<int> truths, predictions;
+  for (const Outcome o : c.outcomes) {
+    const bool truth = o == Outcome::kTrue;
+    truths.push_back(truth ? 1 : 0);
+    predictions.push_back(rng.Uniform() < (truth ? 0.6 : 0.15) ? 1 : 0);
+  }
+  auto outcomes = ComputeOutcomes(metric, predictions, truths);
+  DIVEXP_CHECK(outcomes.ok());
+  return {c.label + "/" + MetricName(metric), c.dataset,
+          *std::move(outcomes), c.support};
+}
+
+TEST(DerivedStatsOracleTest, StatsAndServedStatsMatchTheirDefinitions) {
+  size_t all_bottom_ppv = 0;
+  for (const MinedCase& base : LinkCases()) {
+    for (const Metric metric :
+         {Metric::kFalsePositiveRate, Metric::kPositivePredictiveValue}) {
+      const MinedCase c = UnderMetric(base, metric);
+      SCOPED_TRACE(c.label);
+      auto table = PatternTable::Create(MineCase(c), c.dataset.catalog,
+                                        c.dataset.num_rows);
+      ASSERT_TRUE(table.ok()) << table.status().ToString();
+      ASSERT_GT(table->size(), 1u);
+      const size_t all_bottom = ExpectStatsMatchDefinition(*table);
+      if (metric == Metric::kPositivePredictiveValue) {
+        all_bottom_ppv += all_bottom;
+      }
+      ExpectServedStatsMatchTable(*table);
+
+      if (base.label != "bank" ||
+          metric != Metric::kPositivePredictiveValue) {
+        continue;
+      }
+      // A guard-truncated table: the canonical prefix that fits a budget
+      // of half the rows' charges.
+      uint64_t budget = 4;  // below any one row's charge
+      for (size_t i = 1; i < table->size() / 2; ++i) {
+        budget += PatternTable::RowBytes(table->row_items(i).size());
+      }
+      RunLimits limits;
+      limits.max_memory_mb = 1;
+      RunGuard guard(limits);
+      ASSERT_TRUE(guard.AddMemory((uint64_t{1} << 20) - budget));
+      auto truncated = PatternTable::Create(
+          MineCase(c), c.dataset.catalog, c.dataset.num_rows, &guard);
+      ASSERT_TRUE(truncated.ok()) << truncated.status().ToString();
+      EXPECT_EQ(guard.breach(), LimitBreach::kMemoryBudget);
+      ASSERT_EQ(truncated->size(), table->size() / 2);
+      ExpectStatsMatchDefinition(*truncated);
+      ExpectServedStatsMatchTable(*truncated);
+    }
+  }
+  EXPECT_GT(all_bottom_ppv, 0u);
 }
 
 // ---------------------------------------------------------------------

@@ -509,10 +509,27 @@ TEST(ArtifactTest, NonCanonicalInputIsWrittenCanonically) {
             StatusCode::kInvalidArgument);
 }
 
-// The fingerprint hashes the items, item_offsets, tallies and stats
-// columns word by word: flipping any one byte of them changes it, while
-// the subset links (derived state) do not enter it.
-TEST(ArtifactTest, FingerprintCoversEveryHashedByteButNotLinks) {
+/// Re-stamps the CRC of section `s` and the envelope CRCs that cover
+/// it, so an edit to that section's payload passes the CRC checks.
+void RestampSectionCrc(std::string* bytes, const ArtifactSectionInfo& s) {
+  const size_t entry =
+      kArtifactHeaderSize +
+      (static_cast<size_t>(s.id) - 1) * kArtifactSectionEntrySize;
+  const uint32_t crc = recovery::Crc32(bytes->data() + s.offset, s.size);
+  std::memcpy(bytes->data() + entry + 24, &crc, sizeof(crc));
+  const uint32_t table_crc =
+      recovery::Crc32(bytes->data() + kArtifactHeaderSize,
+                      kArtifactSectionCount * kArtifactSectionEntrySize);
+  std::memcpy(bytes->data() + 76, &table_crc, sizeof(table_crc));
+  const uint32_t header_crc = recovery::Crc32(bytes->data(), 80);
+  std::memcpy(bytes->data() + 80, &header_crc, sizeof(header_crc));
+}
+
+// The fingerprint hashes the counted columns, items, item_offsets and
+// tallies, word by word: flipping any one byte of them changes it.
+// Derived state does not enter it: the subset links, and the artifact's
+// stats section, whose bytes a kFull open checks by their section CRC.
+TEST(ArtifactTest, FingerprintCoversEveryHashedByteButNotDerivedState) {
   for (const PatternTable& table :
        {MakeHandTable(CanonicalPatterns()), RandomTableForTest(5, 60)}) {
     const TableColumns columns = table.columns();
@@ -534,12 +551,13 @@ TEST(ArtifactTest, FingerprintCoversEveryHashedByteButNotLinks) {
       place(&c, std::span<const T>(copy));
       return fingerprint(c);
     };
+    // Every byte of a small column; an even spread of a larger one's.
+    const auto step_for = [](size_t bytes) {
+      return bytes <= 512 ? size_t{1} : bytes / 97 + 1;
+    };
     const auto every_byte = [&](auto column, auto place, const char* name) {
-      // Every byte of a small table's column; an even spread of a larger
-      // one's.
       const size_t bytes = column.size_bytes();
-      const size_t step = bytes <= 512 ? 1 : bytes / 97 + 1;
-      for (size_t b = 0; b < bytes; b += step) {
+      for (size_t b = 0; b < bytes; b += step_for(bytes)) {
         EXPECT_NE(flipped(column, place, b), base) << name << " byte " << b;
       }
       EXPECT_NE(flipped(column, place, bytes - 1), base) << name << " last";
@@ -559,11 +577,6 @@ TEST(ArtifactTest, FingerprintCoversEveryHashedByteButNotLinks) {
                  c->tallies = s;
                },
                "tallies");
-    every_byte(columns.stats,
-               [](TableColumns* c, std::span<const double> s) {
-                 c->stats = s;
-               },
-               "stats");
 
     std::vector<uint32_t> links(columns.subset_links.begin(),
                                 columns.subset_links.end());
@@ -572,6 +585,32 @@ TEST(ArtifactTest, FingerprintCoversEveryHashedByteButNotLinks) {
     TableColumns unlinked = columns;
     unlinked.subset_links = links;
     EXPECT_EQ(fingerprint(unlinked), base);
+
+    // A flipped stats byte fails a kFull open by the section's CRC;
+    // with the CRCs re-stamped, the open passes and recomputes the
+    // header's fingerprint.
+    const std::string bytes = TableBytes(table);
+    auto clean = PatternTableArtifact::FromBuffer(bytes);
+    ASSERT_TRUE(clean.ok()) << clean.status().ToString();
+    const ArtifactSectionInfo stats = (*clean)->info().sections[3];
+    ASSERT_EQ(stats.id, ArtifactSection::kStats);
+    ASSERT_GT(stats.size, 0u);
+    for (size_t b = 0; b < stats.size; b += step_for(stats.size)) {
+      std::string corrupt = bytes;
+      corrupt[stats.offset + b] ^= 0x01;
+      auto caught = PatternTableArtifact::FromBuffer(
+          corrupt, ArtifactValidation::kFull);
+      ASSERT_FALSE(caught.ok()) << "stats byte " << b;
+      EXPECT_NE(caught.status().message().find("'stats' CRC mismatch"),
+                std::string::npos)
+          << caught.status().ToString();
+      RestampSectionCrc(&corrupt, stats);
+      auto restamped = PatternTableArtifact::FromBuffer(
+          corrupt, ArtifactValidation::kFull);
+      ASSERT_TRUE(restamped.ok())
+          << "stats byte " << b << ": " << restamped.status().ToString();
+      EXPECT_EQ((*restamped)->fingerprint(), base);
+    }
   }
 }
 
@@ -603,10 +642,15 @@ TEST(ArtifactTest, VersionOneHeaderIsRejected) { ExpectVersionRejected(1); }
 // catalog at id 7; this build rejects them by version rather than by
 // the section table.
 TEST(ArtifactTest, VersionTwoHeaderIsRejected) {
-  EXPECT_EQ(kArtifactVersion, 3u);
+  EXPECT_EQ(kArtifactVersion, 4u);
   EXPECT_EQ(kArtifactSectionCount, 6u);
   ExpectVersionRejected(2);
 }
+
+// Version 3 artifacts have v4's layout, but their fingerprint hashes the
+// stats section too; this build rejects them by version rather than by
+// a fingerprint mismatch.
+TEST(ArtifactTest, VersionThreeHeaderIsRejected) { ExpectVersionRejected(3); }
 
 TEST(ArtifactTest, FromBufferOwnsAnAlignedCopy) {
   const PatternTable table = RandomTableForTest(17, 150);

@@ -251,15 +251,21 @@ Status Run(const CliOptions& opts, std::ostream& out, std::ostream& log) {
     timer.Finish();
     std::vector<bool> mask(table.size(), false);
     for (size_t i : kept) mask[i] = true;
+    obs::StageTimer rank_timer(&run_stages, obs::kStageRank);
     for (size_t i : table.RankByDivergence(true)) {
       if (!mask[i]) continue;
       shown.push_back(i);
       if (shown.size() >= opts.top_k) break;
     }
+    rank_timer.AddItems(table.size());
+    rank_timer.Finish();
     out << "top " << shown.size() << " divergent patterns after eps="
         << opts.epsilon << " pruning (" << kept.size() << " survive):\n";
   } else {
+    obs::StageTimer timer(&run_stages, obs::kStageRank);
     shown = table.TopK(opts.top_k);
+    timer.AddItems(table.size());
+    timer.Finish();
     out << "top " << shown.size() << " divergent patterns:\n";
   }
   out << FormatPatternRows(table, shown, label) << "\n";
@@ -325,9 +331,12 @@ Status Run(const CliOptions& opts, std::ostream& out, std::ostream& log) {
   }
 
   if (!opts.artifact_path.empty()) {
+    obs::StageTimer timer(&run_stages, obs::kStageArtifactWrite);
     uint64_t bytes = 0;
     DIVEXP_RETURN_NOT_OK(serve::WritePatternTableArtifact(
         opts.artifact_path, table, &bytes));
+    timer.AddItems(bytes);
+    timer.Finish();
     log << "serving artifact written to " << opts.artifact_path << " ("
         << bytes << " bytes)\n";
   }
